@@ -524,6 +524,14 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
     total_host_events.fetch_add(result.events_processed,
                                 std::memory_order_relaxed);
 
+    // Useful bytes depend only on the trace. Count them while the
+    // profiler is still attached so their host cost is attributed.
+    {
+        obs::Profiler::Scope useful_scope(_config.profiler,
+                                          "driver.useful_bytes");
+        result.useful_bytes = trace::totalUsefulBytes(trace);
+    }
+
     // Detach the profiler while the queue is alive; it folds this
     // run's wall time and queue/alloc counters into its aggregates.
     if (_config.profiler)
@@ -574,7 +582,6 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
     }
     result.wire_bytes = result.payload_bytes + result.header_bytes;
 
-    result.useful_bytes = trace::totalUsefulBytes(trace);
     // Sub-headers, DW padding, and raw-store padding are protocol
     // overhead; unwritten write-combine line bytes and whole-range DMA
     // payloads count as transferred data.

@@ -1,6 +1,7 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <istream>
 #include <ostream>
 
@@ -29,6 +30,106 @@ WorkloadTrace::totalRemoteStoreBytes() const
     return total;
 }
 
+namespace {
+
+using Span = std::pair<Addr, Addr>; // [begin, end)
+
+constexpr unsigned digit_bits = 8;
+constexpr std::size_t digit_values = std::size_t{1} << digit_bits;
+constexpr Addr digit_mask = digit_values - 1;
+constexpr unsigned max_digits = 64 / digit_bits;
+
+/**
+ * Stable LSD radix sort of @p n spans by begin address, keyed on
+ * begin - @p lo. Only the digits @p spread (max begin - @p lo) needs
+ * run, and a digit every key shares is skipped. Passes ping-pong
+ * between @p spans and @p scratch; returns whichever holds the result.
+ */
+const Span *
+radixSortByBegin(Span *spans, Span *scratch, std::size_t n, Addr lo,
+                 Addr spread)
+{
+    const unsigned digits =
+        (static_cast<unsigned>(std::bit_width(spread)) + digit_bits - 1) /
+        digit_bits;
+    // One read pass fills every digit's histogram; a permutation
+    // leaves them valid for the later passes. Rows past `digits` are
+    // never read, so only the used rows are cleared.
+    std::size_t counts[max_digits][digit_values];
+    for (unsigned d = 0; d < digits; ++d)
+        std::fill(std::begin(counts[d]), std::end(counts[d]), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        Addr key = spans[i].first - lo;
+        for (unsigned d = 0; d < digits; ++d)
+            ++counts[d][(key >> (d * digit_bits)) & digit_mask];
+    }
+
+    Span *src = spans;
+    Span *dst = scratch;
+    for (unsigned d = 0; d < digits; ++d) {
+        const unsigned shift = d * digit_bits;
+        std::size_t *count = counts[d];
+        if (count[((src[0].first - lo) >> shift) & digit_mask] == n)
+            continue;
+        std::size_t offset = 0;
+        for (std::size_t v = 0; v < digit_values; ++v) {
+            std::size_t c = count[v];
+            count[v] = offset;
+            offset += c;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            dst[count[((src[i].first - lo) >> shift) & digit_mask]++] =
+                src[i];
+        std::swap(src, dst);
+    }
+    return src;
+}
+
+/**
+ * Sort @p spans by begin and merge overlapping or touching spans in
+ * place, leaving them sorted and disjoint. Input already sorted by
+ * begin skips the sort. @p scratch is the sort's second buffer; it only
+ * grows, so one scratch serves many calls without reallocating.
+ */
+void
+normalizeSpans(std::vector<Span> &spans, std::vector<Span> &scratch)
+{
+    const std::size_t n = spans.size();
+    if (n < 2)
+        return;
+    Addr lo = spans[0].first;
+    Addr hi = lo;
+    bool sorted = true;
+    for (std::size_t i = 1; i < n; ++i) {
+        Addr begin = spans[i].first;
+        sorted = sorted && spans[i - 1].first <= begin;
+        lo = std::min(lo, begin);
+        hi = std::max(hi, begin);
+    }
+    const Span *in = spans.data();
+    if (!sorted) {
+        if (scratch.size() < n)
+            scratch.resize(n);
+        in = radixSortByBegin(spans.data(), scratch.data(), n, lo, hi - lo);
+    }
+    // When the sorted run is in spans itself, the write index never
+    // passes the read index.
+    std::size_t merged = 0;
+    Span current = in[0];
+    for (std::size_t i = 1; i < n; ++i) {
+        if (in[i].first <= current.second) {
+            current.second = std::max(current.second, in[i].second);
+        } else {
+            spans[merged++] = current;
+            current = in[i];
+        }
+    }
+    spans[merged++] = current;
+    spans.resize(merged);
+}
+
+} // namespace
+
 void
 IntervalSet::add(Addr base, std::uint64_t size)
 {
@@ -43,17 +144,8 @@ IntervalSet::normalize()
 {
     if (!_dirty)
         return;
-    std::sort(_spans.begin(), _spans.end());
-    std::vector<std::pair<Addr, Addr>> merged;
-    for (const auto &span : _spans) {
-        if (!merged.empty() && span.first <= merged.back().second) {
-            merged.back().second =
-                std::max(merged.back().second, span.second);
-        } else {
-            merged.push_back(span);
-        }
-    }
-    _spans = std::move(merged);
+    std::vector<Span> scratch;
+    normalizeSpans(_spans, scratch);
     _dirty = false;
 }
 
@@ -117,43 +209,65 @@ IntervalSet::intervals()
 }
 
 UpdateSummary
-summarizeUpdates(const IterationWork &iter, GpuId dst)
+summarizeTrace(const WorkloadTrace &trace)
 {
-    IntervalSet updated;
-    for (const auto &gpu : iter.per_gpu)
-        for (const auto &store : gpu.remote_stores)
-            if (store.dst == dst)
-                updated.add(store.addr, store.size);
+    const std::uint32_t gpus = trace.num_gpus;
+    // Scratch reused across iterations: each destination's updated
+    // spans, one destination's consumed spans, and the sort buffer.
+    std::vector<std::vector<Span>> updated(gpus);
+    std::vector<Span> consumed;
+    std::vector<Span> scratch;
+    UpdateSummary total;
+    for (const auto &iter : trace.iterations) {
+        for (auto &spans : updated)
+            spans.clear();
+        for (const auto &gpu : iter.per_gpu)
+            for (const auto &store : gpu.remote_stores)
+                if (store.dst < gpus && store.size != 0)
+                    updated[store.dst].emplace_back(store.begin(),
+                                                    store.end());
 
-    IntervalSet consumed;
-    if (dst < iter.consumed.size())
-        for (const auto &range : iter.consumed[dst])
-            consumed.add(range);
+        for (GpuId dst = 0; dst < gpus; ++dst) {
+            std::vector<Span> &spans = updated[dst];
+            if (spans.empty())
+                continue;
+            normalizeSpans(spans, scratch);
+            consumed.clear();
+            if (dst < iter.consumed.size())
+                for (const auto &range : iter.consumed[dst])
+                    if (range.size != 0)
+                        consumed.emplace_back(range.begin(), range.end());
+            normalizeSpans(consumed, scratch);
 
-    UpdateSummary summary;
-    summary.unique_bytes = updated.totalBytes();
-    summary.useful_bytes = updated.intersectBytes(consumed);
-    return summary;
+            // Both lists are sorted and disjoint: consumed spans that
+            // end before one updated span also end before the next.
+            std::size_t first = 0;
+            for (const auto &[begin, end] : spans) {
+                total.unique_bytes += end - begin;
+                while (first < consumed.size() &&
+                       consumed[first].second <= begin)
+                    ++first;
+                for (std::size_t c = first;
+                     c < consumed.size() && consumed[c].first < end; ++c)
+                    total.useful_bytes +=
+                        std::min(end, consumed[c].second) -
+                        std::max(begin, consumed[c].first);
+            }
+        }
+    }
+    return total;
 }
 
 std::uint64_t
 totalUsefulBytes(const WorkloadTrace &trace)
 {
-    std::uint64_t total = 0;
-    for (const auto &iter : trace.iterations)
-        for (GpuId g = 0; g < trace.num_gpus; ++g)
-            total += summarizeUpdates(iter, g).useful_bytes;
-    return total;
+    return summarizeTrace(trace).useful_bytes;
 }
 
 std::uint64_t
 totalUniqueBytes(const WorkloadTrace &trace)
 {
-    std::uint64_t total = 0;
-    for (const auto &iter : trace.iterations)
-        for (GpuId g = 0; g < trace.num_gpus; ++g)
-            total += summarizeUpdates(iter, g).unique_bytes;
-    return total;
+    return summarizeTrace(trace).unique_bytes;
 }
 
 namespace {

@@ -116,10 +116,11 @@ class IntervalSet
 };
 
 /**
- * The information content of one iteration's updates to one GPU:
- * unique updated bytes and the consumed (useful) subset. Identical for
- * every transfer paradigm, which is what makes the Figure 10 byte
- * classification well-defined.
+ * The information content of a trace's updates: per iteration and
+ * destination GPU, the unique bytes the stores write and the consumed
+ * (useful) subset of them, summed. Identical for every transfer
+ * paradigm, which is what makes the Figure 10 byte classification
+ * well-defined.
  */
 struct UpdateSummary
 {
@@ -127,8 +128,13 @@ struct UpdateSummary
     std::uint64_t useful_bytes = 0;
 };
 
-/** Compute the per-destination update summary of one iteration. */
-UpdateSummary summarizeUpdates(const IterationWork &iter, GpuId dst);
+/**
+ * Both totals in one pass per iteration: stores are bucketed by
+ * destination, each bucket is sorted and merged, and the merged spans
+ * are walked once against the merged consumed ranges. Stores to a
+ * destination >= num_gpus and zero-size spans count for nothing.
+ */
+UpdateSummary summarizeTrace(const WorkloadTrace &trace);
 
 /** Sum of useful bytes over all iterations and destinations. */
 std::uint64_t totalUsefulBytes(const WorkloadTrace &trace);

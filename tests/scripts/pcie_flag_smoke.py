@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""End-to-end check of fptrace's --pcie flag.
+
+replay, profile and racecheck accept exactly --pcie 3|4|5|6. Any other
+value must exit 2 (the usage code in the exit-code legend) with usage
+text on stderr instead of silently simulating PCIe 4.0; a valid value
+must run and name the generation it simulated.
+
+Usage: pcie_flag_smoke.py <fptrace-binary>
+
+Stdlib only; registered with ctest from tests/CMakeLists.txt. Exits
+nonzero with a diagnostic on the first failed expectation.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def fail(message):
+    print("pcie_flag_smoke: FAIL: " + message, file=sys.stderr)
+    sys.exit(1)
+
+
+def run(args):
+    return subprocess.run(args, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def main():
+    if len(sys.argv) != 2:
+        print("usage: pcie_flag_smoke.py <fptrace-binary>", file=sys.stderr)
+        return 2
+    fptrace = sys.argv[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "tiny.fpt")
+        result = run([fptrace, "generate", "jacobi", trace,
+                      "--scale", "0.01", "--gpus", "2"])
+        if result.returncode != 0:
+            fail("trace generation failed: " + result.stderr)
+
+        for command in ("replay", "profile", "racecheck"):
+            for bad in ("9", "abc"):
+                result = run([fptrace, command, trace, "--pcie", bad])
+                if result.returncode != 2:
+                    fail("%s --pcie %s exited %d, expected 2\n%s%s"
+                         % (command, bad, result.returncode,
+                            result.stdout, result.stderr))
+                if "usage:" not in result.stderr:
+                    fail("%s --pcie %s printed no usage text:\n%s"
+                         % (command, bad, result.stderr))
+
+        for command in ("replay", "profile"):
+            result = run([fptrace, command, trace, "--pcie", "6",
+                          "--paradigm", "p2p-stores"])
+            if result.returncode != 0:
+                fail("%s --pcie 6 exited %d:\n%s"
+                     % (command, result.returncode, result.stderr))
+            if "PCIe 6.0" not in result.stdout:
+                fail("%s --pcie 6 did not report PCIe 6.0:\n%s"
+                     % (command, result.stdout))
+    print("pcie_flag_smoke: ok")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

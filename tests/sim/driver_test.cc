@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "obs/profiler.hh"
 #include "sim/driver.hh"
 #include "sim/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -105,6 +108,39 @@ TEST(DriverTest, UsefulBytesAreParadigmIndependent)
     EXPECT_EQ(driver.run(trace, Paradigm::bulk_dma).useful_bytes,
               useful);
     EXPECT_GT(useful, 0u);
+}
+
+TEST(DriverTest, UsefulBytesHaveOneProfilerScopePerEventDrivenRun)
+{
+    // Counted before the profiler detaches, so `fptrace profile` and
+    // the benches' host.* numbers include the accounting; analytic
+    // paradigms have no useful bytes to count.
+    const auto &trace = smallTrace("sssp");
+    obs::Profiler profiler;
+    SimConfig config;
+    config.profiler = &profiler;
+    SimulationDriver driver(config);
+    const Paradigm event_driven[] = {Paradigm::finepack, Paradigm::finepack,
+                                     Paradigm::p2p_stores,
+                                     Paradigm::bulk_dma};
+    for (Paradigm paradigm : event_driven)
+        driver.run(trace, paradigm);
+    driver.run(trace, Paradigm::infinite_bw);
+
+    std::size_t useful_frames = 0, iteration_frames = 0;
+    std::size_t analytic_frames = 0;
+    for (const obs::HostHotspot &row : profiler.hotspots()) {
+        if (row.label == "driver.useful_bytes")
+            useful_frames = row.count;
+        else if (row.label == "driver.iteration")
+            iteration_frames = row.count;
+        else if (row.label == "driver.analytic")
+            analytic_frames = row.count;
+    }
+    EXPECT_EQ(useful_frames, std::size(event_driven));
+    EXPECT_EQ(iteration_frames,
+              std::size(event_driven) * trace.numIterations());
+    EXPECT_EQ(analytic_frames, 1u);
 }
 
 TEST(DriverTest, DmaOverTransfersOnSparseUpdates)

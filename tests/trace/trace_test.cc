@@ -57,6 +57,8 @@ TEST(IntervalSetTest, EmptySetBehaviour)
 
 TEST(UpdateSummaryTest, UniqueAndUsefulBytes)
 {
+    WorkloadTrace trace;
+    trace.num_gpus = 2;
     IterationWork iter;
     iter.per_gpu.resize(2);
     iter.consumed.resize(2);
@@ -64,30 +66,37 @@ TEST(UpdateSummaryTest, UniqueAndUsefulBytes)
     iter.per_gpu[0].remote_stores.emplace_back(0x1000, 8, 0, 1);
     iter.per_gpu[0].remote_stores.emplace_back(0x1004, 8, 0, 1);
     iter.per_gpu[0].remote_stores.emplace_back(0x9000, 8, 0, 1);
-    // GPU 1 only reads the first region.
+    // GPU 1 only reads the first region; GPU 0 reads what nobody
+    // sends it, which adds nothing.
     iter.consumed[1].push_back(icn::AddrRange{0x1000, 64});
+    iter.consumed[0].push_back(icn::AddrRange{0x1000, 64});
+    trace.iterations.push_back(iter);
 
-    UpdateSummary summary = summarizeUpdates(iter, 1);
+    UpdateSummary summary = summarizeTrace(trace);
     EXPECT_EQ(summary.unique_bytes, 12u + 8u);
     EXPECT_EQ(summary.useful_bytes, 12u);
+    EXPECT_EQ(totalUniqueBytes(trace), 12u + 8u);
+    EXPECT_EQ(totalUsefulBytes(trace), 12u);
 
-    // Nothing was sent to GPU 0.
-    UpdateSummary none = summarizeUpdates(iter, 0);
-    EXPECT_EQ(none.unique_bytes, 0u);
-    EXPECT_EQ(none.useful_bytes, 0u);
+    // Totals sum over iterations.
+    trace.iterations.push_back(iter);
+    EXPECT_EQ(totalUniqueBytes(trace), 2u * (12u + 8u));
+    EXPECT_EQ(totalUsefulBytes(trace), 2u * 12u);
 }
 
 TEST(UpdateSummaryTest, MultipleSourcesAggregate)
 {
+    WorkloadTrace trace;
+    trace.num_gpus = 3;
     IterationWork iter;
     iter.per_gpu.resize(3);
     iter.consumed.resize(3);
     iter.per_gpu[0].remote_stores.emplace_back(0x100, 8, 0, 2);
     iter.per_gpu[1].remote_stores.emplace_back(0x104, 8, 1, 2);
     iter.consumed[2].push_back(icn::AddrRange{0x100, 16});
-    UpdateSummary summary = summarizeUpdates(iter, 2);
-    EXPECT_EQ(summary.unique_bytes, 12u); // merged overlap
-    EXPECT_EQ(summary.useful_bytes, 12u);
+    trace.iterations.push_back(iter);
+    EXPECT_EQ(totalUniqueBytes(trace), 12u); // merged overlap
+    EXPECT_EQ(totalUsefulBytes(trace), 12u);
 }
 
 TEST(StoreStreamTest, LaneWritesFormWarps)

@@ -58,6 +58,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/digest.hh"
@@ -240,6 +241,31 @@ struct RunHealth
     }
 };
 
+/**
+ * The --pcie flag (default 4). Accepts exactly 3, 4, 5 or 6; anything
+ * else prints why and returns false so the caller exits with usage().
+ */
+bool
+parsePcie(int argc, char **argv, icn::PcieGen &gen)
+{
+    static const std::pair<const char *, icn::PcieGen> gens[] = {
+        {"3", icn::PcieGen::gen3},
+        {"4", icn::PcieGen::gen4},
+        {"5", icn::PcieGen::gen5},
+        {"6", icn::PcieGen::gen6},
+    };
+    const std::string value = argValue(argc, argv, "--pcie", "4");
+    for (const auto &[name, parsed] : gens) {
+        if (value == name) {
+            gen = parsed;
+            return true;
+        }
+    }
+    std::cerr << "fptrace: --pcie must be 3, 4, 5 or 6, not '" << value
+              << "'\n";
+    return false;
+}
+
 sim::Paradigm
 parseParadigm(const std::string &name)
 {
@@ -304,6 +330,7 @@ cmdInfo(int argc, char **argv)
     if (argc < 3)
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
+    trace::UpdateSummary updates = trace::summarizeTrace(trace);
 
     std::cout << "workload:      " << trace.workload << "\n"
               << "comm pattern:  " << trace.comm_pattern << "\n"
@@ -312,10 +339,8 @@ cmdInfo(int argc, char **argv)
               << "remote stores: " << trace.totalRemoteStores() << "\n"
               << "store bytes:   " << trace.totalRemoteStoreBytes()
               << "\n"
-              << "unique bytes:  " << trace::totalUniqueBytes(trace)
-              << "\n"
-              << "useful bytes:  " << trace::totalUsefulBytes(trace)
-              << "\n";
+              << "unique bytes:  " << updates.unique_bytes << "\n"
+              << "useful bytes:  " << updates.useful_bytes << "\n";
 
     common::Table table("per-iteration profile");
     table.setHeader({"iter", "stores", "store KiB", "dma KiB",
@@ -478,16 +503,11 @@ writeFabricJson(const char *path, const char *trace_path,
 int
 cmdReplay(int argc, char **argv)
 {
-    if (argc < 3)
+    sim::SimConfig config;
+    if (argc < 3 || !parsePcie(argc, argv, config.pcie_gen))
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
 
-    sim::SimConfig config;
-    std::string gen = argValue(argc, argv, "--pcie", "4");
-    config.pcie_gen = gen == "3"   ? icn::PcieGen::gen3
-                      : gen == "5" ? icn::PcieGen::gen5
-                      : gen == "6" ? icn::PcieGen::gen6
-                                   : icn::PcieGen::gen4;
     sim::Paradigm paradigm =
         parseParadigm(argValue(argc, argv, "--paradigm", "finepack"));
     config.check = hasFlag(argc, argv, "--check");
@@ -690,16 +710,11 @@ printProfileReport(const obs::Profiler &profiler, std::size_t top_n)
 int
 cmdProfile(int argc, char **argv)
 {
-    if (argc < 3)
+    sim::SimConfig config;
+    if (argc < 3 || !parsePcie(argc, argv, config.pcie_gen))
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
 
-    sim::SimConfig config;
-    std::string gen = argValue(argc, argv, "--pcie", "4");
-    config.pcie_gen = gen == "3"   ? icn::PcieGen::gen3
-                      : gen == "5" ? icn::PcieGen::gen5
-                      : gen == "6" ? icn::PcieGen::gen6
-                                   : icn::PcieGen::gen4;
     sim::Paradigm paradigm =
         parseParadigm(argValue(argc, argv, "--paradigm", "finepack"));
     int reps = std::atoi(argValue(argc, argv, "--reps", "3"));
@@ -834,15 +849,11 @@ racecheckRun(const trace::WorkloadTrace &trace, sim::Paradigm paradigm,
 int
 cmdRacecheck(int argc, char **argv)
 {
-    if (argc < 3)
+    icn::PcieGen pcie = icn::PcieGen::gen4;
+    if (argc < 3 || !parsePcie(argc, argv, pcie))
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
 
-    std::string gen = argValue(argc, argv, "--pcie", "4");
-    icn::PcieGen pcie = gen == "3"   ? icn::PcieGen::gen3
-                        : gen == "5" ? icn::PcieGen::gen5
-                        : gen == "6" ? icn::PcieGen::gen6
-                                     : icn::PcieGen::gen4;
     sim::Paradigm paradigm =
         parseParadigm(argValue(argc, argv, "--paradigm", "finepack"));
     int seeds = std::atoi(argValue(argc, argv, "--seeds", "4"));
