@@ -16,7 +16,8 @@
  *     (wrong-writer-wins), or a phantom byte fails immediately - and
  *     the flushed image is stashed as the expected outcome of the
  *     transaction about to be packetized.
- *  3. When the packetized wire message is emitted, its disaggregated
+ *  3. As a PacketizerObserver it gets every packetized wire message
+ *     through packetEmitted(), and the message's disaggregated
  *     stores must reproduce the stashed image exactly: full coverage,
  *     no byte twice, correct values, every sub-packet inside the
  *     window's offset range, and the payload accounting consistent
@@ -39,13 +40,15 @@
 #include "check/shadow_memory.hh"
 #include "common/event_queue.hh"
 #include "finepack/config.hh"
+#include "finepack/packetizer.hh"
 #include "finepack/remote_write_queue.hh"
 #include "interconnect/message.hh"
 
 namespace fp::check {
 
 /** Byte-exact reference model for one source GPU's FinePack egress. */
-class ProtocolOracle : public finepack::RwqObserver
+class ProtocolOracle : public finepack::RwqObserver,
+                       public finepack::PacketizerObserver
 {
   public:
     ProtocolOracle(GpuId src, const finepack::FinePackConfig &config);
@@ -54,6 +57,16 @@ class ProtocolOracle : public finepack::RwqObserver
     void storeBuffered(GpuId dst, const icn::Store &store) override;
     void windowFlushed(const finepack::FlushedPartition &flushed,
                        finepack::FlushReason reason) override;
+
+    // ---- PacketizerObserver hook ---------------------------------------
+    /** Verify every emitted packet (see verifyMessage). */
+    FP_COLD void
+    packetEmitted(const finepack::FinePackTransaction &txn,
+                  const icn::WireMessage &msg) override
+    {
+        (void)txn;
+        verifyMessage(msg);
+    }
 
     /**
      * Verify one emitted finepack_packet wire message against the
@@ -73,8 +86,9 @@ class ProtocolOracle : public finepack::RwqObserver
     /**
      * Declare the oracle's shadow-memory mutations to the determinism
      * tooling (see docs/determinism.md). The default-constructed
-     * recorder is inert; the driver installs a live one when a race
-     * detector observes the run.
+     * recorder is inert; gpu::EgressPort::attachOracle installs one
+     * bound to the port's event queue, live when a race detector
+     * observes the run.
      */
     void setAccessRecorder(common::AccessRecorder recorder)
     { _recorder = recorder; }

@@ -95,8 +95,8 @@ Packetizer::toMessage(const FlushedPartition &flushed,
 
     fp_assert(msg->payload_bytes <= protocol.maxPayload(),
               "FinePack payload exceeds the PCIe max payload");
-    if (_observer)
-        _observer->packetEmitted(txn, *msg);
+    for (PacketizerObserver *observer : _observers)
+        observer->packetEmitted(txn, *msg);
     return msg;
 }
 

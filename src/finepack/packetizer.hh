@@ -25,9 +25,9 @@ namespace fp::finepack {
 
 /**
  * Observer of packetizer output, fired once per emitted outer
- * transaction (observability hook; the egress port adapts it onto the
- * event tracer). payloadEfficiency of the emitted message is
- * data_bytes / wire payload bytes.
+ * transaction: the egress port's event tracer records a packet
+ * instant (payload efficiency = data_bytes / wire payload bytes) and
+ * the protocol oracle re-verifies the packet byte for byte.
  */
 class PacketizerObserver
 {
@@ -65,8 +65,16 @@ class Packetizer
     GpuId src() const { return _src; }
     const FinePackConfig &config() const { return _config; }
 
-    /** Attach an output observer (nullptr detaches). */
-    void setObserver(PacketizerObserver *observer) { _observer = observer; }
+    /**
+     * Attach an output observer (the caller keeps ownership; at most
+     * once per observer). Observers see every packet in attach order.
+     */
+    void addObserver(PacketizerObserver *observer)
+    { _observers.push_back(observer); }
+
+    /** Detach a previously attached observer (no-op when absent). */
+    void removeObserver(PacketizerObserver *observer)
+    { std::erase(_observers, observer); }
 
     /** Lifetime statistics (Figure 11 inputs). */
     std::uint64_t packetsEmitted() const { return _packets; }
@@ -109,7 +117,7 @@ class Packetizer
   private:
     GpuId _src;
     FinePackConfig _config;
-    PacketizerObserver *_observer = nullptr;
+    std::vector<PacketizerObserver *> _observers;
     mutable std::uint64_t _packets = 0;
     mutable std::uint64_t _sub_packets = 0;
     mutable std::uint64_t _stores_packed = 0;

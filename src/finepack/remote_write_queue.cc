@@ -429,28 +429,20 @@ RwqPartition::captureWindow(RwqWindow &window, FlushReason reason,
     recordFlush(reason);
     sink.push_back(window.take(_dst));
     sink.back().reason = reason;
-    if (_observer)
-        _observer->windowFlushed(sink.back(), reason);
-    if (_trace_observer)
-        _trace_observer->windowFlushed(sink.back(), reason);
+    for (RwqObserver *observer : _observers)
+        observer->windowFlushed(sink.back(), reason);
 }
 
 void
 RwqPartition::insertObserved(RwqWindow &window, const icn::Store &store)
 {
     RwqWindow::InsertOutcome outcome = window.insert(store);
-    if (outcome.queue_hit) {
-        if (_observer)
-            _observer->storeCoalesced(_dst, store,
-                                      outcome.overwritten_bytes);
-        if (_trace_observer)
-            _trace_observer->storeCoalesced(_dst, store,
-                                            outcome.overwritten_bytes);
+    for (RwqObserver *observer : _observers) {
+        if (outcome.queue_hit)
+            observer->storeCoalesced(_dst, store,
+                                     outcome.overwritten_bytes);
+        observer->storeBuffered(_dst, store);
     }
-    if (_observer)
-        _observer->storeBuffered(_dst, store);
-    if (_trace_observer)
-        _trace_observer->storeBuffered(_dst, store);
 }
 
 void
@@ -472,7 +464,7 @@ RwqPartition::flush(FlushReason reason)
     fp_assert(sink.size() <= 1,
               "multi-window flush needs the sink API");
     if (sink.empty())
-        return FlushedPartition{_dst, 0, {}, 0};
+        return FlushedPartition{_dst, 0, {}, 0, FlushReason::release, {}};
     return std::move(sink.front());
 }
 
@@ -663,23 +655,17 @@ RemoteWriteQueue::flushIfConflict(GpuId dst, Addr addr,
 }
 
 void
-RemoteWriteQueue::setObserver(RwqObserver *observer)
+RemoteWriteQueue::addObserver(RwqObserver *observer)
 {
-    for (GpuId g = 0; g < _num_gpus; ++g) {
-        if (g == _self)
-            continue;
-        _partitions[g].setObserver(observer);
-    }
+    for (RwqPartition &part : _partitions)
+        part.addObserver(observer);
 }
 
 void
-RemoteWriteQueue::setTraceObserver(RwqObserver *observer)
+RemoteWriteQueue::removeObserver(RwqObserver *observer)
 {
-    for (GpuId g = 0; g < _num_gpus; ++g) {
-        if (g == _self)
-            continue;
-        _partitions[g].setTraceObserver(observer);
-    }
+    for (RwqPartition &part : _partitions)
+        part.removeObserver(observer);
 }
 
 RwqPartition &

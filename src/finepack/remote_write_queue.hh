@@ -101,11 +101,12 @@ struct FlushedPartition
 
 /**
  * Causal-order observer of remote-write-queue state changes, used by
- * the correctness tooling (check::ProtocolOracle). The hooks fire in
- * the exact order the hardware would commit the corresponding actions:
- * a window that must flush to admit a store reports windowFlushed()
- * *before* that store's storeBuffered(), so an observer replaying the
- * stream sees the same byte images the packetizer will.
+ * the correctness tooling (check::ProtocolOracle) and the egress
+ * port's event tracer. The hooks fire in the exact order the hardware
+ * would commit the corresponding actions: a window that must flush to
+ * admit a store reports windowFlushed() *before* that store's
+ * storeBuffered(), so an observer replaying the stream sees the same
+ * byte images the packetizer will.
  */
 class RwqObserver
 {
@@ -283,19 +284,17 @@ class RwqPartition
     Addr windowHi() const;
 
     /**
-     * Attach a causal-order observer (nullptr detaches). Exactly one
-     * observer at a time; the caller keeps ownership.
+     * Attach a causal-order observer (the caller keeps ownership; at
+     * most once per observer). Every observer sees the whole stream,
+     * notified in attach order; with none attached each hook point
+     * costs one compare.
      */
-    void setObserver(RwqObserver *observer) { _observer = observer; }
+    void addObserver(RwqObserver *observer)
+    { _observers.push_back(observer); }
 
-    /**
-     * Attach a second, independent observer used for event tracing;
-     * it sees the same causal stream as the primary observer (and
-     * additionally storeCoalesced). Kept separate so the protocol
-     * oracle and the tracer can coexist.
-     */
-    void setTraceObserver(RwqObserver *observer)
-    { _trace_observer = observer; }
+    /** Detach a previously attached observer (no-op when absent). */
+    void removeObserver(RwqObserver *observer)
+    { std::erase(_observers, observer); }
 
     /** Lifetime statistics. */
     std::uint64_t storesPushed() const { return _stores_pushed; }
@@ -319,8 +318,7 @@ class RwqPartition
 
     GpuId _dst;
     FinePackConfig _config;
-    RwqObserver *_observer = nullptr;
-    RwqObserver *_trace_observer = nullptr;
+    std::vector<RwqObserver *> _observers;
 
     std::vector<RwqWindow> _windows;
     /** LRU order of window indices; back = most recently used. */
@@ -369,10 +367,10 @@ class RemoteWriteQueue
     FP_HOT const RwqPartition &partition(GpuId dst) const;
 
     /** Attach a causal-order observer to every partition. */
-    void setObserver(RwqObserver *observer);
+    void addObserver(RwqObserver *observer);
 
-    /** Attach a trace observer to every partition. */
-    void setTraceObserver(RwqObserver *observer);
+    /** Detach @p observer from every partition. */
+    void removeObserver(RwqObserver *observer);
 
     GpuId self() const { return _self; }
     std::uint32_t numGpus() const { return _num_gpus; }

@@ -6,26 +6,27 @@
 #include "check/protocol_oracle.hh"
 #include "common/bitutil.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/trace_event.hh"
 
 namespace fp::gpu {
 
-namespace {
-
 /**
- * Adapts the remote write queue's causal observer stream onto trace
- * instants on the owning GPU's rwq lane. Flush events always record
- * (with the trigger reason as the event name); per-store enqueue and
- * overwrite-in-place instants only fire at full detail.
+ * Adapts the egress stages' observer streams onto trace instants on
+ * the owning GPU's rwq and packetizer lanes. Flush and packet events
+ * always record (a flush with its trigger reason as the event name);
+ * per-store enqueue and overwrite-in-place instants only fire at full
+ * detail.
  */
-class RwqTraceAdapter : public finepack::RwqObserver
+class StageTracer : public finepack::RwqObserver,
+                    public finepack::PacketizerObserver
 {
   public:
-    RwqTraceAdapter(obs::TraceSink &sink, const common::EventQueue &queue,
-                    std::uint32_t pid)
+    StageTracer(obs::TraceSink &sink, const common::EventQueue &queue,
+                std::uint32_t pid)
         : _sink(sink), _queue(queue), _pid(pid)
     {}
 
-    void
+    FP_COLD void
     storeBuffered(GpuId dst, const icn::Store &store) override
     {
         if (!_sink.full())
@@ -36,7 +37,7 @@ class RwqTraceAdapter : public finepack::RwqObserver
                       {"bytes", static_cast<double>(store.size)});
     }
 
-    void
+    FP_COLD void
     storeCoalesced(GpuId dst, const icn::Store &store,
                    std::uint32_t overwritten_bytes) override
     {
@@ -50,7 +51,7 @@ class RwqTraceAdapter : public finepack::RwqObserver
                        static_cast<double>(overwritten_bytes)});
     }
 
-    void
+    FP_COLD void
     windowFlushed(const finepack::FlushedPartition &flushed,
                   finepack::FlushReason reason) override
     {
@@ -65,23 +66,7 @@ class RwqTraceAdapter : public finepack::RwqObserver
                        static_cast<double>(flushed.packed_store_count)});
     }
 
-  private:
-    obs::TraceSink &_sink;
-    const common::EventQueue &_queue;
-    std::uint32_t _pid;
-};
-
-/** Adapts packetizer output onto packet-emit trace instants. */
-class PacketizerTraceAdapter : public finepack::PacketizerObserver
-{
-  public:
-    PacketizerTraceAdapter(obs::TraceSink &sink,
-                           const common::EventQueue &queue,
-                           std::uint32_t pid)
-        : _sink(sink), _queue(queue), _pid(pid)
-    {}
-
-    void
+    FP_COLD void
     packetEmitted(const finepack::FinePackTransaction &txn,
                   const icn::WireMessage &msg) override
     {
@@ -104,8 +89,6 @@ class PacketizerTraceAdapter : public finepack::PacketizerObserver
     const common::EventQueue &_queue;
     std::uint32_t _pid;
 };
-
-} // namespace
 
 const char *
 toString(EgressMode mode)
@@ -169,6 +152,8 @@ EgressPort::EgressPort(const std::string &name, common::EventQueue &queue,
     stats().registerAverage("stores_per_message", &_stores_per_msg,
                             "program stores per injected wire message");
 }
+
+EgressPort::~EgressPort() = default;
 
 void
 EgressPort::issueStore(const icn::Store &store)
@@ -392,35 +377,34 @@ EgressPort::sendRaw(const icn::Store &store, icn::MessageKind kind)
 }
 
 void
-EgressPort::attachOracle(check::ProtocolOracle *oracle)
+EgressPort::attachOracle(check::ProtocolOracle &oracle)
 {
     fp_assert(_mode == EgressMode::finepack,
               "the protocol oracle requires finepack mode, not ",
               toString(_mode));
-    _oracle = oracle;
-    _rwq->setObserver(oracle);
+    _rwq->addObserver(&oracle);
+    _packetizer->addObserver(&oracle);
+    oracle.setAccessRecorder(common::AccessRecorder(eventQueue()));
 }
 
 void
-EgressPort::setTracer(obs::TraceSink *tracer)
+EgressPort::setProbes(const obs::Probes &probes)
 {
-    _tracer = tracer;
+    _latency = probes.latency;
+    _recorder = probes.recorder;
     if (_mode != EgressMode::finepack)
         return;
-    if (!tracer) {
-        _rwq->setTraceObserver(nullptr);
-        _packetizer->setObserver(nullptr);
-        _rwq_trace.reset();
-        _packet_trace.reset();
-        return;
+    if (_stage_tracer) {
+        _rwq->removeObserver(_stage_tracer.get());
+        _packetizer->removeObserver(_stage_tracer.get());
+        _stage_tracer.reset();
     }
-    std::uint32_t pid = obs::tracePidGpu(_self);
-    _rwq_trace = std::make_unique<RwqTraceAdapter>(*tracer, eventQueue(),
-                                                   pid);
-    _packet_trace = std::make_unique<PacketizerTraceAdapter>(
-        *tracer, eventQueue(), pid);
-    _rwq->setTraceObserver(_rwq_trace.get());
-    _packetizer->setObserver(_packet_trace.get());
+    if (!probes.tracer)
+        return;
+    _stage_tracer = std::make_unique<StageTracer>(
+        *probes.tracer, eventQueue(), obs::tracePidGpu(_self));
+    _rwq->addObserver(_stage_tracer.get());
+    _packetizer->addObserver(_stage_tracer.get());
 }
 
 void
@@ -429,8 +413,6 @@ EgressPort::sendFlushed(const finepack::FlushedPartition &flushed)
     common::AccessRecorder(eventQueue())
         .write(_packetizer.get(), _packetizer_label.c_str());
     icn::WireMessagePtr msg = _packetizer->toMessage(flushed, _protocol);
-    if (_oracle)
-        _oracle->verifyMessage(*msg);
     ++_messages_sent;
     _stores_folded += static_cast<double>(flushed.packed_store_count);
     _stores_per_msg.sample(

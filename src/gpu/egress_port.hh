@@ -22,12 +22,13 @@
 #include "finepack/remote_write_queue.hh"
 #include "finepack/write_combine.hh"
 #include "interconnect/topology.hh"
-#include "obs/latency.hh"
-#include "obs/trace_event.hh"
+#include "obs/probes.hh"
 
 namespace fp::check { class ProtocolOracle; }
 
 namespace fp::gpu {
+
+class StageTracer;
 
 /** How remote stores are transferred out of this GPU. */
 enum class EgressMode : std::uint8_t {
@@ -54,6 +55,7 @@ class EgressPort : public common::SimObject
                const finepack::FinePackConfig &config,
                const icn::PcieProtocol &protocol,
                icn::SwitchedFabric &fabric, Tick flush_timeout = 0);
+    ~EgressPort() override;
 
     /**
      * Issue one remote store at the current tick. Splits accesses that
@@ -87,39 +89,28 @@ class EgressPort : public common::SimObject
                                  std::uint32_t size);
 
     /**
-     * Attach the shadow-memory protocol oracle (finepack mode only;
-     * nullptr detaches). The oracle observes the remote write queue in
-     * causal order and re-verifies every emitted packet byte-for-byte;
+     * Attach the shadow-memory protocol oracle (finepack mode only) to
+     * the remote write queue and the packetizer: it observes the queue
+     * in causal order and re-verifies every emitted packet
+     * byte-for-byte. Its shadow-memory accesses are declared to this
+     * port's event queue for the determinism tooling, so attach after
+     * any race detector. It stays attached for the port's lifetime;
      * the caller keeps ownership.
      */
-    void attachOracle(check::ProtocolOracle *oracle);
+    void attachOracle(check::ProtocolOracle &oracle);
 
     /**
-     * Attach an event tracer (nullptr detaches). In finepack mode this
-     * wires adapters onto the remote write queue and packetizer so
-     * enqueue / overwrite-in-place / flush / packet-emit events land on
-     * this GPU's trace process; per-store instants only fire at full
-     * trace detail.
+     * Attach the tracer, latency collector and flight recorder of
+     * @p probes (a null field detaches). In finepack mode the tracer
+     * gets one adapter on the remote write queue and the packetizer:
+     * enqueue / overwrite-in-place (full detail only) / flush /
+     * packet-emit instants on this GPU's trace process. With a
+     * latency collector stores carry their issue tick so the ingress
+     * side can attribute residency and end-to-end latency. The flight
+     * recorder gets one `rwq_flush` record per window flush (reason,
+     * entries, dst; docs/run_health.md).
      */
-    void setTracer(obs::TraceSink *tracer);
-
-    /**
-     * Enable latency attribution (nullptr disables): stores get their
-     * issue tick stamped so the ingress side can attribute coalescing
-     * residency and end-to-end latency. The egress port never samples
-     * into the collector itself; off costs one branch per store.
-     */
-    void setLatencyCollector(obs::LatencyCollector *latency)
-    { _latency = latency; }
-
-    /**
-     * Attach a flight recorder (nullptr disables): every RWQ window
-     * flush appends one `rwq_flush` ring record labeled with its
-     * FlushReason (entries, dst). Off costs one branch per flush; see
-     * docs/run_health.md.
-     */
-    void setFlightRecorder(obs::FlightRecorder *recorder)
-    { _recorder = recorder; }
+    void setProbes(const obs::Probes &probes);
 
     EgressMode mode() const { return _mode; }
     GpuId self() const { return _self; }
@@ -158,13 +149,10 @@ class EgressPort : public common::SimObject
 
     std::unique_ptr<finepack::RemoteWriteQueue> _rwq;
     std::unique_ptr<finepack::Packetizer> _packetizer;
-    check::ProtocolOracle *_oracle = nullptr;
-    obs::TraceSink *_tracer = nullptr;
     obs::LatencyCollector *_latency = nullptr;
     obs::FlightRecorder *_recorder = nullptr;
-    /** Trace adapters (finepack mode, tracer attached). */
-    std::unique_ptr<finepack::RwqObserver> _rwq_trace;
-    std::unique_ptr<finepack::PacketizerObserver> _packet_trace;
+    /** RWQ + packetizer trace adapter (finepack mode, tracer attached). */
+    std::unique_ptr<StageTracer> _stage_tracer;
     /** One write-combine buffer per destination (index = dst). */
     std::vector<std::unique_ptr<finepack::WriteCombineBuffer>> _wc;
 

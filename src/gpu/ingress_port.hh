@@ -17,11 +17,8 @@
 #include "gpu/gpu_config.hh"
 #include "interconnect/message.hh"
 #include "obs/latency.hh"
+#include "obs/probes.hh"
 #include "obs/trace_event.hh"
-
-namespace fp::obs {
-class FlowCollector;
-} // namespace fp::obs
 
 namespace fp::gpu {
 
@@ -48,26 +45,22 @@ class IngressPort : public common::SimObject
     void setDeliveredCallback(DeliveredFn fn) { _delivered_cb = std::move(fn); }
 
     /**
-     * Attach an event tracer (nullptr detaches): per-message drain
-     * spans on this GPU's ingress lane at full detail.
-     */
-    void setTracer(obs::TraceSink *tracer) { _tracer = tracer; }
-
-    /**
-     * Attach a latency collector (nullptr detaches): every drained
-     * message records its stage latencies (commit = end of the HBM
-     * drain). Off costs one branch per message.
-     */
-    void setLatencyCollector(obs::LatencyCollector *latency)
-    { _latency = latency; }
-
-    /**
-     * Attach a flow collector (nullptr detaches): every received
-     * message is committed against its src -> dst flow, closing the
-     * inject/commit conservation ledger. Off costs one branch per
+     * Attach the tracer, latency and flow collectors of @p probes (a
+     * null field detaches). The tracer gets per-message drain spans on
+     * this GPU's ingress lane at full detail; the latency collector
+     * gets every drained message's stage latencies (commit = end of
+     * the HBM drain); the flow collector gets every received message
+     * committed against its src -> dst flow, closing the inject/commit
+     * conservation ledger. A detached probe costs one branch per
      * message.
      */
-    void setFlowCollector(obs::FlowCollector *flows) { _flows = flows; }
+    void
+    setProbes(const obs::Probes &probes)
+    {
+        _tracer = probes.tracer;
+        _latency = probes.latency;
+        _flows = probes.flows;
+    }
 
     /** Tick when the ingress path finishes draining everything queued. */
     Tick drainedAt() const { return _busy_until; }

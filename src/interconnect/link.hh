@@ -19,11 +19,8 @@
 
 #include "common/sim_object.hh"
 #include "interconnect/message.hh"
+#include "obs/probes.hh"
 #include "obs/trace_event.hh"
-
-namespace fp::obs {
-class FlowCollector;
-} // namespace fp::obs
 
 namespace fp::icn {
 
@@ -116,29 +113,23 @@ class Link : public common::SimObject
     void resetStats();
 
     /**
-     * Attach an event tracer (nullptr detaches). Busy spans - one
-     * complete event per message serialization, carrying wire/data
-     * byte counts - are emitted on (@p pid, @p tid) at full detail.
-     */
-    void
-    setTracer(obs::TraceSink *tracer, std::uint32_t pid, std::uint32_t tid)
-    {
-        _tracer = tracer;
-        _trace_pid = pid;
-        _trace_tid = tid;
-    }
-
-    /**
-     * Attach a flow collector (nullptr detaches): every serialization
-     * start is reported under @p link_id with its (src, dst) flow,
+     * Attach the tracer and flow collector of @p probes (a null field
+     * detaches). At full trace detail every message serialization is
+     * one busy span, carrying wire/data byte counts, on (@p trace_pid,
+     * @p trace_lane). Every serialization start is reported to the flow
+     * collector under @p flow_link with its (src, dst) flow,
      * enqueue-to-start queue wait, and the occupant flow any wait is
      * charged to (docs/fabric_observability.md).
      */
     void
-    setFlowCollector(obs::FlowCollector *flows, std::uint32_t link_id)
+    setProbes(const obs::Probes &probes, std::uint32_t trace_pid,
+              obs::TraceLane trace_lane, std::uint32_t flow_link)
     {
-        _flows = flows;
-        _flow_link_id = link_id;
+        _tracer = probes.tracer;
+        _trace_pid = trace_pid;
+        _trace_tid = trace_lane;
+        _flows = probes.flows;
+        _flow_link_id = flow_link;
     }
 
   private:

@@ -141,34 +141,22 @@ SwitchedFabric::totalInjectedWireBytes() const
 }
 
 void
-SwitchedFabric::setTracer(obs::TraceSink *tracer)
+SwitchedFabric::setProbes(const obs::Probes &probes)
 {
-    _tracer = tracer;
-    for (std::uint32_t g = 0; g < _num_gpus; ++g) {
-        _uplinks[g]->setTracer(tracer, obs::tracePidGpu(g),
-                               obs::lane_uplink);
-        _downlinks[g]->setTracer(tracer, obs::tracePidGpu(g),
-                                 obs::lane_downlink);
-    }
-}
-
-void
-SwitchedFabric::setFlowCollector(obs::FlowCollector *flows)
-{
-    _flows = flows;
-    for (std::uint32_t g = 0; g < _num_gpus; ++g) {
-        _uplinks[g]->setFlowCollector(
-            flows,
-            flows ? flows->registerLink(
-                        _uplinks[g]->name(),
-                        obs::FlowCollector::LinkKind::uplink, g)
-                  : 0);
-        _downlinks[g]->setFlowCollector(
-            flows,
-            flows ? flows->registerLink(
-                        _downlinks[g]->name(),
-                        obs::FlowCollector::LinkKind::downlink, g)
-                  : 0);
+    _tracer = probes.tracer;
+    _flows = probes.flows;
+    _recorder = probes.recorder;
+    auto attach = [&](Link &link, GpuId g, obs::TraceLane lane,
+                      obs::FlowCollector::LinkKind kind) {
+        std::uint32_t flow_link =
+            _flows ? _flows->registerLink(link.name(), kind, g) : 0;
+        link.setProbes(probes, obs::tracePidGpu(g), lane, flow_link);
+    };
+    for (GpuId g = 0; g < _num_gpus; ++g) {
+        attach(*_uplinks[g], g, obs::lane_uplink,
+               obs::FlowCollector::LinkKind::uplink);
+        attach(*_downlinks[g], g, obs::lane_downlink,
+               obs::FlowCollector::LinkKind::downlink);
     }
 }
 

@@ -17,10 +17,6 @@
 #include "interconnect/link.hh"
 #include "interconnect/protocol.hh"
 
-namespace fp::obs {
-class FlightRecorder;
-} // namespace fp::obs
-
 namespace fp::icn {
 
 /** Parameters of the switched interconnect fabric. */
@@ -92,27 +88,18 @@ class SwitchedFabric : public common::SimObject
     void resetStats();
 
     /**
-     * Attach an event tracer to every link: GPU g's uplink and
-     * downlink emit busy spans on its trace process, on the uplink /
-     * downlink lanes.
+     * Attach @p probes to the fabric and every link (a null field
+     * detaches). The tracer gets busy spans from GPU g's uplink and
+     * downlink on its trace process (uplink / downlink lanes) and
+     * flow-event ids at full detail. The flow collector gets every
+     * link registered, uplink g before downlink g, and each injected
+     * message accounted against its src -> dst flow; call after
+     * FlowCollector::beginRun() sized for this fabric's GPU count.
+     * The flight recorder gets one `fabric_inject` ring record (wire
+     * bytes, dst) per inject(); see docs/run_health.md. A detached
+     * probe costs one branch per message.
      */
-    void setTracer(obs::TraceSink *tracer);
-
-    /**
-     * Attach a flow collector (nullptr detaches): registers every
-     * link with it and accounts each injected message against its
-     * src -> dst flow. Call after FlowCollector::beginRun() sized for
-     * this fabric's GPU count.
-     */
-    void setFlowCollector(obs::FlowCollector *flows);
-
-    /**
-     * Attach a flight recorder (nullptr detaches): every inject()
-     * appends one `fabric_inject` ring record (wire bytes, dst). Off
-     * costs one branch per message; see docs/run_health.md.
-     */
-    void setFlightRecorder(obs::FlightRecorder *recorder)
-    { _recorder = recorder; }
+    void setProbes(const obs::Probes &probes);
 
   private:
     FP_HOT void forward(const WireMessagePtr &msg);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "baselines/gps_model.hh"
@@ -20,6 +21,7 @@
 #include "obs/flow.hh"
 #include "obs/latency.hh"
 #include "obs/metrics.hh"
+#include "obs/probes.hh"
 #include "obs/profiler.hh"
 #include "obs/sampler.hh"
 #include "obs/trace_event.hh"
@@ -255,9 +257,7 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
                 sys.oracles.push_back(
                     std::make_unique<check::ProtocolOracle>(
                         g, _config.finepack));
-                sys.egress.back()->attachOracle(sys.oracles.back().get());
-                sys.oracles.back()->setAccessRecorder(
-                    common::AccessRecorder(sys.queue));
+                sys.egress.back()->attachOracle(*sys.oracles.back());
             }
         }
     }
@@ -270,48 +270,35 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
         tracer->processName(obs::trace_pid_sim, "sim.driver");
         tracer->threadName(obs::trace_pid_sim, obs::lane_main,
                            toString(paradigm));
-        sys.fabric->setTracer(tracer);
+        static const std::pair<obs::TraceLane, const char *> lanes[] = {
+            {obs::lane_main, "kernel"},
+            {obs::lane_rwq, "rwq"},
+            {obs::lane_packetizer, "packetizer"},
+            {obs::lane_ingress, "ingress"},
+            {obs::lane_uplink, "uplink"},
+            {obs::lane_downlink, "downlink"},
+        };
         for (GpuId g = 0; g < gpus; ++g) {
             tracer->processName(obs::tracePidGpu(g),
                                 "gpu" + std::to_string(g));
-            tracer->threadName(obs::tracePidGpu(g), obs::lane_main,
-                               "kernel");
-            tracer->threadName(obs::tracePidGpu(g), obs::lane_rwq,
-                               "rwq");
-            tracer->threadName(obs::tracePidGpu(g), obs::lane_packetizer,
-                               "packetizer");
-            tracer->threadName(obs::tracePidGpu(g), obs::lane_ingress,
-                               "ingress");
-            tracer->threadName(obs::tracePidGpu(g), obs::lane_uplink,
-                               "uplink");
-            tracer->threadName(obs::tracePidGpu(g), obs::lane_downlink,
-                               "downlink");
-            sys.ingress[g]->setTracer(tracer);
+            for (const auto &[lane, name] : lanes)
+                tracer->threadName(obs::tracePidGpu(g), lane, name);
         }
-        for (auto &port : sys.egress)
-            port->setTracer(tracer);
     }
 
-    if (obs::LatencyCollector *latency = _config.latency) {
-        latency->beginRun(gpus);
-        for (auto &port : sys.ingress)
-            port->setLatencyCollector(latency);
-        for (auto &port : sys.egress)
-            port->setLatencyCollector(latency);
-    }
-
-    if (obs::FlowCollector *flows = _config.flows) {
-        flows->beginRun(gpus);
-        sys.fabric->setFlowCollector(flows);
-        for (auto &port : sys.ingress)
-            port->setFlowCollector(flows);
-    }
-
-    if (obs::FlightRecorder *recorder = _config.recorder) {
-        sys.fabric->setFlightRecorder(recorder);
-        for (auto &port : sys.egress)
-            port->setFlightRecorder(recorder);
-    }
+    // One probe bundle for the fabric and every port; each component
+    // keeps the collectors it reports to.
+    const obs::Probes probes{tracer, _config.latency, _config.flows,
+                             _config.recorder};
+    if (probes.latency)
+        probes.latency->beginRun(gpus);
+    if (probes.flows)
+        probes.flows->beginRun(gpus);
+    sys.fabric->setProbes(probes);
+    for (auto &port : sys.ingress)
+        port->setProbes(probes);
+    for (auto &port : sys.egress)
+        port->setProbes(probes);
 
     obs::PeriodicSampler *sampler = _config.sampler;
     if (sampler) {

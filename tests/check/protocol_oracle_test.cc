@@ -41,7 +41,11 @@ makeStore(Addr addr, std::uint32_t size)
     return store;
 }
 
-/** A partition wired to an oracle plus the packetizer behind it. */
+/**
+ * A partition wired to an oracle plus the packetizer behind it. The
+ * packetizer is not observed, so a test can tamper with a message
+ * before handing it to verifyMessage().
+ */
 struct Pipeline
 {
     FinePackConfig config = defaultConfig();
@@ -50,7 +54,7 @@ struct Pipeline
     Packetizer packetizer{src_gpu, defaultConfig()};
     icn::PcieProtocol protocol{icn::PcieGen::gen4};
 
-    Pipeline() { partition.setObserver(&oracle); }
+    Pipeline() { partition.addObserver(&oracle); }
 
     /** Push stores, then release-flush and return the wire message. */
     icn::WireMessagePtr
@@ -112,6 +116,26 @@ TEST(ProtocolOracleTest, AcceptsDataLessStores)
     pipe.oracle.verifyDrained();
     EXPECT_EQ(pipe.oracle.bytesVerified(), 32u);
     EXPECT_EQ(pipe.oracle.valueBytesVerified(), 0u);
+}
+
+TEST(ProtocolOracleTest, VerifiesPacketsThroughThePacketizerHook)
+{
+    // On the packetizer's observer list the oracle verifies every
+    // packet as it is emitted, with no explicit verifyMessage() call.
+    Pipeline pipe;
+    pipe.packetizer.addObserver(&pipe.oracle);
+    pipe.flushToMessage({makeStore(0x1000, 8), makeStore(0x2040, 16)});
+    EXPECT_EQ(pipe.oracle.transactionsVerified(), 1u);
+    pipe.oracle.verifyDrained();
+
+    // A packet whose window flush the oracle never saw fails at emit.
+    RwqPartition unobserved{dst_gpu, defaultConfig()};
+    std::vector<FlushedPartition> sink;
+    unobserved.push(makeStore(0x3000, 8), sink);
+    unobserved.flush(FlushReason::release, sink);
+    ASSERT_EQ(sink.size(), 1u);
+    EXPECT_THROW(pipe.packetizer.toMessage(sink.front(), pipe.protocol),
+                 common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesCorruptedData)

@@ -182,7 +182,9 @@ TEST(LinkTest, FlowCollectorSeesTransmitsAndOccupantWait)
     Link link("l", queue, 1.0, 0, nullptr);
     std::uint32_t id = flows.registerLink(
         link.name(), obs::FlowCollector::LinkKind::uplink, 0);
-    link.setFlowCollector(&flows, id);
+    obs::Probes probes;
+    probes.flows = &flows;
+    link.setProbes(probes, obs::tracePidGpu(0), obs::lane_uplink, id);
 
     link.send(makeMessage(100, 0));
     link.send(makeMessage(50, 0)); // waits 100 ticks behind the first
@@ -201,7 +203,8 @@ TEST(LinkTest, FlowCollectorSeesTransmitsAndOccupantWait)
     EXPECT_EQ(flows.interferenceTicks(0, 0), 100u);
 
     // Detaching stops the reporting.
-    link.setFlowCollector(nullptr, 0);
+    link.setProbes(obs::Probes{}, obs::tracePidGpu(0), obs::lane_uplink,
+                   0);
     link.send(makeMessage(10, 0));
     queue.run();
     EXPECT_EQ(flows.links()[id].msgs, 2u);

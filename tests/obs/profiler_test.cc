@@ -34,7 +34,7 @@ spin()
 {
     volatile unsigned sink = 0;
     for (unsigned i = 0; i < 20000; ++i)
-        sink += i;
+        sink = sink + i;
 }
 
 const HostHotspot *

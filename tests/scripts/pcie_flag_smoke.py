@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""End-to-end check of fptrace's --pcie flag.
+"""End-to-end check of fptrace's --pcie flag and generate's numeric flags.
 
 replay, profile and racecheck accept exactly --pcie 3|4|5|6. Any other
 value must exit 2 (the usage code in the exit-code legend) with usage
 text on stderr instead of silently simulating PCIe 4.0; a valid value
 must run and name the generation it simulated.
+
+generate accepts --scale, --gpus and --seed only as one whole number in
+range. A bad value must exit 2 with usage text instead of dying on a
+signal, aborting, or running with a silent default; valid edge values
+must generate a trace.
 
 Usage: pcie_flag_smoke.py <fptrace-binary>
 
@@ -16,6 +21,34 @@ import os
 import subprocess
 import sys
 import tempfile
+
+
+# (flag, value, expected exit code) for generate. Every case generates
+# jacobi at --scale 0.01 --gpus 2 apart from the flag it sets.
+GENERATE_CASES = [
+    ("--gpus", "0", 2),
+    ("--gpus", "-3", 2),
+    ("--gpus", "4x", 2),
+    ("--gpus", "1025", 2),
+    ("--gpus", "4294967296", 2),
+    ("--gpus", "", 2),
+    ("--scale", "-1", 2),
+    ("--scale", "0", 2),
+    ("--scale", "nan", 2),
+    ("--scale", "inf", 2),
+    ("--scale", "1e400", 2),
+    ("--scale", "abc", 2),
+    ("--scale", " 0.01", 2),
+    ("--seed", "abc", 2),
+    ("--seed", "-1", 2),
+    ("--seed", "+7", 2),
+    ("--seed", "18446744073709551616", 2),
+    ("--gpus", "1", 0),
+    ("--gpus", "16", 0),
+    ("--scale", "1e-6", 0),
+    ("--seed", "0", 0),
+    ("--seed", "18446744073709551615", 0),
+]
 
 
 def fail(message):
@@ -39,6 +72,24 @@ def main():
                       "--scale", "0.01", "--gpus", "2"])
         if result.returncode != 0:
             fail("trace generation failed: " + result.stderr)
+
+        for flag, value, expected in GENERATE_CASES:
+            flags = {"--scale": "0.01", "--gpus": "2", flag: value}
+            out = os.path.join(tmp, "case.fpt")
+            args = [fptrace, "generate", "jacobi", out]
+            for name, text in flags.items():
+                args += [name, text]
+            result = run(args)
+            case = "generate %s '%s'" % (flag, value)
+            if result.returncode != expected:
+                fail("%s exited %d, expected %d\n%s%s"
+                     % (case, result.returncode, expected,
+                        result.stdout, result.stderr))
+            if expected == 2 and "usage:" not in result.stderr:
+                fail("%s printed no usage text:\n%s"
+                     % (case, result.stderr))
+            if expected == 0 and os.path.getsize(out) == 0:
+                fail("%s wrote an empty trace" % case)
 
         for command in ("replay", "profile", "racecheck"):
             for bad in ("9", "abc"):

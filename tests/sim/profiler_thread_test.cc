@@ -78,8 +78,9 @@ TEST(ProfilerThread, PerShardProfilersUnderParallelSweep)
         // Each shard's profiler observed exactly its own queue: the
         // event count matches the result's even when lanes overlap.
         EXPECT_EQ(profilers[i]->events(), results[i].events_processed);
-        if (results[i].events_processed > 0)
+        if (results[i].events_processed > 0) {
             EXPECT_FALSE(profilers[i]->hotspots().empty());
+        }
     }
 }
 

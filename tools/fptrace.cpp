@@ -5,6 +5,9 @@
  * Subcommands:
  *   generate <workload> <out.fpt> [--scale S] [--gpus N] [--seed X]
  *       Execute the workload and serialize its trace to a file.
+ *       S must lie in [1e-6, 1000], N in [1, 1024] and X in
+ *       [0, 2^64-1], each written as one whole number; anything else
+ *       exits 2 with usage text.
  *   info <trace.fpt>
  *       Print structural statistics of a serialized trace.
  *   replay <trace.fpt> [--paradigm P] [--pcie GEN] [--check]
@@ -52,9 +55,11 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -92,6 +97,8 @@ usage()
         << "usage:\n"
            "  fptrace generate <workload> <out.fpt> [--scale S]"
            " [--gpus N] [--seed X]\n"
+           "                 (S in [1e-6, 1000], N in [1, 1024],"
+           " X in [0, 2^64-1])\n"
            "  fptrace info <trace.fpt>\n"
            "  fptrace replay <trace.fpt> [--paradigm P] [--pcie 3|4|5|6]"
            " [--check]\n"
@@ -266,6 +273,31 @@ parsePcie(int argc, char **argv, icn::PcieGen &gen)
     return false;
 }
 
+/**
+ * The numeric flag @p flag (default @p fallback). Accepts only a whole
+ * token that parses as a T in [lo, hi]: no sign on unsigned flags, no
+ * trailing characters, no nan or inf. Anything else prints why and
+ * returns false so the caller exits with usage().
+ */
+template <typename T>
+bool
+parseNumber(int argc, char **argv, const char *flag, const char *fallback,
+            T lo, T hi, T &value)
+{
+    const std::string text = argValue(argc, argv, flag, fallback);
+    const char *end = text.data() + text.size();
+    T parsed{};
+    auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error == std::errc() && stop == end && parsed >= lo &&
+        parsed <= hi) {
+        value = parsed;
+        return true;
+    }
+    std::cerr << "fptrace: " << flag << " must be a number in [" << lo
+              << ", " << hi << "], not '" << text << "'\n";
+    return false;
+}
+
 sim::Paradigm
 parseParadigm(const std::string &name)
 {
@@ -289,14 +321,16 @@ parseParadigm(const std::string &name)
 int
 cmdGenerate(int argc, char **argv)
 {
-    if (argc < 4)
-        return usage();
     workloads::WorkloadParams params;
-    params.scale = std::atof(argValue(argc, argv, "--scale", "1.0"));
-    params.num_gpus = static_cast<std::uint32_t>(
-        std::atoi(argValue(argc, argv, "--gpus", "4")));
-    params.seed = static_cast<std::uint64_t>(
-        std::atoll(argValue(argc, argv, "--seed", "42")));
+    if (argc < 4 ||
+        !parseNumber(argc, argv, "--scale", "1.0", 1e-6, 1e3,
+                     params.scale) ||
+        !parseNumber(argc, argv, "--gpus", "4", std::uint32_t{1},
+                     std::uint32_t{1024}, params.num_gpus) ||
+        !parseNumber(argc, argv, "--seed", "42", std::uint64_t{0},
+                     std::numeric_limits<std::uint64_t>::max(),
+                     params.seed))
+        return usage();
 
     auto workload = workloads::createWorkload(argv[2]);
     std::cout << "generating " << argv[2] << " (scale=" << params.scale
