@@ -118,7 +118,8 @@ BM_EventQueueScheduleRun(benchmark::State &state)
         std::uint64_t count = 0;
         for (int i = 0; i < 1024; ++i)
             queue.schedule([&count]() { ++count; },
-                           static_cast<Tick>(i * 10));
+                           static_cast<Tick>(i * 10),
+                           common::Event::prio_default, "test.event");
         queue.run();
         benchmark::DoNotOptimize(count);
     }

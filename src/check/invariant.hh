@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -105,7 +106,13 @@ class InvariantRegistry
         void *arg;
         {
             fp::MutexLock lock(_mu);
-            ++_counts[name];
+            // Look up by the literal first: building the std::string
+            // key only for a name's first evaluation keeps checked
+            // builds from allocating per check.
+            auto it = _counts.find(name);
+            if (it == _counts.end())
+                it = _counts.emplace(name, 0).first;
+            ++it->second;
             ++_total;
             hook = _check_hook;
             arg = _check_arg;
@@ -183,7 +190,7 @@ class InvariantRegistry
     }
 
     /** Snapshot of the names seen so far with their evaluation counts. */
-    std::map<std::string, std::uint64_t>
+    std::map<std::string, std::uint64_t, std::less<>>
     counts() const FP_EXCLUDES(_mu)
     {
         fp::MutexLock lock(_mu);
@@ -204,7 +211,8 @@ class InvariantRegistry
     InvariantRegistry() = default;
 
     mutable fp::Mutex _mu;
-    std::map<std::string, std::uint64_t> _counts FP_GUARDED_BY(_mu);
+    std::map<std::string, std::uint64_t, std::less<>>
+        _counts FP_GUARDED_BY(_mu);
     std::uint64_t _total FP_GUARDED_BY(_mu) = 0;
     std::uint64_t _failures FP_GUARDED_BY(_mu) = 0;
     CheckHook _check_hook FP_GUARDED_BY(_mu) = nullptr;

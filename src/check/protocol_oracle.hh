@@ -60,7 +60,7 @@ class ProtocolOracle : public finepack::RwqObserver,
 
     // ---- PacketizerObserver hook ---------------------------------------
     /** Verify every emitted packet (see verifyMessage). */
-    FP_COLD void
+    void
     packetEmitted(const finepack::FinePackTransaction &txn,
                   const icn::WireMessage &msg) override
     {
@@ -73,7 +73,7 @@ class ProtocolOracle : public finepack::RwqObserver,
      * oldest outstanding flush for its destination (flushes packetize
      * in FIFO order). Panics on any byte-level or structural mismatch.
      */
-    FP_COLD void verifyMessage(const icn::WireMessage &msg);
+    void verifyMessage(const icn::WireMessage &msg);
 
     /**
      * End-of-run check: every buffered byte must have flushed and every

@@ -16,42 +16,42 @@
 namespace fp::common {
 
 /** True iff @p value is a power of two (zero is not). */
-FP_HOT constexpr bool
+constexpr bool
 isPowerOfTwo(std::uint64_t value)
 {
     return value != 0 && (value & (value - 1)) == 0;
 }
 
 /** Round @p value down to a multiple of @p align (power of two). */
-FP_HOT constexpr std::uint64_t
+constexpr std::uint64_t
 alignDown(std::uint64_t value, std::uint64_t align)
 {
     return value & ~(align - 1);
 }
 
 /** Round @p value up to a multiple of @p align (power of two). */
-FP_HOT constexpr std::uint64_t
+constexpr std::uint64_t
 alignUp(std::uint64_t value, std::uint64_t align)
 {
     return (value + align - 1) & ~(align - 1);
 }
 
 /** Round @p value up to a multiple of arbitrary (non-zero) @p unit. */
-FP_HOT constexpr std::uint64_t
+constexpr std::uint64_t
 roundUpTo(std::uint64_t value, std::uint64_t unit)
 {
     return ((value + unit - 1) / unit) * unit;
 }
 
 /** Ceiling division. */
-FP_HOT constexpr std::uint64_t
+constexpr std::uint64_t
 divCeil(std::uint64_t a, std::uint64_t b)
 {
     return (a + b - 1) / b;
 }
 
 /** Number of bits needed to represent values in [0, n). */
-FP_HOT constexpr unsigned
+constexpr unsigned
 bitsFor(std::uint64_t n)
 {
     if (n <= 1)
@@ -60,7 +60,7 @@ bitsFor(std::uint64_t n)
 }
 
 /** Extract bits [lo, hi] (inclusive) of @p value. */
-FP_HOT constexpr std::uint64_t
+constexpr std::uint64_t
 bits(std::uint64_t value, unsigned hi, unsigned lo)
 {
     std::uint64_t mask = hi >= 63 ? ~0ull : ((1ull << (hi + 1)) - 1);
@@ -68,7 +68,7 @@ bits(std::uint64_t value, unsigned hi, unsigned lo)
 }
 
 /** A mask with the low @p n bits set. */
-FP_HOT constexpr std::uint64_t
+constexpr std::uint64_t
 mask(unsigned n)
 {
     return n >= 64 ? ~0ull : (1ull << n) - 1;

@@ -14,7 +14,7 @@ namespace {
  * 64-bit values. Applied to (seed ^ sequence) it yields one stable
  * pseudo-random permutation of same-(tick, priority) ties per seed.
  */
-FP_HOT std::uint64_t
+std::uint64_t
 mixTieKey(std::uint64_t seed, std::uint64_t sequence)
 {
     std::uint64_t z = (seed + 0x9e3779b97f4a7c15ull) ^ sequence;

@@ -22,7 +22,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/alloc_counters.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -58,7 +57,7 @@ class Event
     Event &operator=(const Event &) = delete;
 
     /** Invoked when simulated time reaches the scheduled tick. */
-    FP_HOT virtual void process() = 0;
+    virtual void process() = 0;
 
     /**
      * Human-readable label for debugging and host-side profiling.
@@ -68,9 +67,9 @@ class Event
      */
     virtual const char *description() const { return "generic event"; }
 
-    FP_HOT bool scheduled() const { return _scheduled; }
-    FP_HOT Tick when() const { return _when; }
-    FP_HOT int priority() const { return _priority; }
+    bool scheduled() const { return _scheduled; }
+    Tick when() const { return _when; }
+    int priority() const { return _priority; }
 
     /**
      * Insertion-order id of the most recent scheduling. Two live events
@@ -78,10 +77,10 @@ class Event
      * the queue's tie-break shuffle is enabled); observers use it to
      * report which of two racing events would run first.
      */
-    FP_HOT std::uint64_t sequence() const { return _sequence; }
+    std::uint64_t sequence() const { return _sequence; }
 
     /** Deschedule without executing; safe to call when not scheduled. */
-    FP_HOT void cancel() { _scheduled = false; }
+    void cancel() { _scheduled = false; }
 
   private:
     friend class EventQueue;
@@ -96,16 +95,11 @@ class Event
 class LambdaEvent : public Event
 {
   public:
-    LambdaEvent(std::function<void()> fn, int priority,
-                const char *label = "lambda event")
+    LambdaEvent(std::function<void()> fn, int priority, const char *label)
         : Event(priority), _fn(std::move(fn)), _label(label)
     {}
 
-    FP_HOT void process() override
-    {
-        // fp-lint: allow(hot-escape) indirect callable; devirtualized dispatch is ROADMAP item 1
-        _fn();
-    }
+    void process() override { _fn(); }
     const char *description() const override { return _label; }
 
   private:
@@ -137,10 +131,10 @@ class EventQueueObserver
     virtual ~EventQueueObserver() = default;
 
     /** @p event is about to process() at the queue's current tick. */
-    FP_COLD virtual void beginEvent(const Event &event) = 0;
+    virtual void beginEvent(const Event &event) = 0;
 
     /** The event's process() returned. */
-    FP_COLD virtual void endEvent(const Event &event) = 0;
+    virtual void endEvent(const Event &event) = 0;
 
     /**
      * Code running under the current event declared a logical access.
@@ -150,7 +144,7 @@ class EventQueueObserver
      * distinguishes mutation from inspection. Only delivered to
      * observers whose wantsAccesses() returns true.
      */
-    FP_COLD virtual void
+    virtual void
     recordAccess(const void *resource, const char *label, bool is_write)
     {
         (void)resource;
@@ -164,7 +158,7 @@ class EventQueueObserver
      * execution-only observers (the profiler) never activate the
      * AccessRecorder paths.
      */
-    FP_COLD virtual bool wantsAccesses() const { return false; }
+    virtual bool wantsAccesses() const { return false; }
 };
 
 /**
@@ -179,7 +173,7 @@ class EventQueue
     EventQueue() = default;
 
     /** Current simulated time. */
-    FP_HOT Tick now() const { return _now; }
+    Tick now() const { return _now; }
 
     /**
      * Attach an execution observer (the caller keeps ownership; at most
@@ -231,23 +225,20 @@ class EventQueue
     bool tieBreakShuffleEnabled() const { return _shuffle; }
 
     /** Schedule @p event at absolute time @p when (>= now). */
-    FP_HOT void schedule(Event *event, Tick when);
+    void schedule(Event *event, Tick when);
 
     /** (Re-)schedule an event, descheduling it first if already queued. */
-    FP_HOT void reschedule(Event *event, Tick when);
+    void reschedule(Event *event, Tick when);
 
     /**
      * Schedule a one-shot callable at absolute time @p when. @p label
      * must be a string literal; the self-profiler attributes the
      * handler's host time to it (see docs/profiling.md).
      */
-    FP_HOT void
-    schedule(std::function<void()> fn, Tick when,
-             int priority = Event::prio_default,
-             const char *label = "lambda event")
+    void
+    schedule(std::function<void()> fn, Tick when, int priority,
+             const char *label)
     {
-        AllocCounters::countLambdaEvent();
-        // fp-lint: allow(hot-alloc) queue-owned one-shot event; the pooled arena is ROADMAP item 1
         auto owned = std::make_unique<LambdaEvent>(std::move(fn), priority,
                                                    label);
         LambdaEvent *raw = owned.get();
@@ -256,28 +247,27 @@ class EventQueue
     }
 
     /** Schedule a one-shot callable @p delay ticks from now. */
-    FP_HOT void
-    scheduleIn(std::function<void()> fn, Tick delay,
-               int priority = Event::prio_default,
-               const char *label = "lambda event")
+    void
+    scheduleIn(std::function<void()> fn, Tick delay, int priority,
+               const char *label)
     {
         schedule(std::move(fn), _now + delay, priority, label);
     }
 
     /** True when no live (non-cancelled) events remain. */
-    FP_HOT bool empty() { pruneStale(); return _queue.empty(); }
+    bool empty() { pruneStale(); return _queue.empty(); }
 
     /** Tick of the next live event; max_tick when empty. */
-    FP_HOT Tick nextEventTick();
+    Tick nextEventTick();
 
     /**
      * Run events until the queue drains or the next event would be past
      * @p limit. @return the tick of the last executed event.
      */
-    FP_HOT Tick run(Tick limit = max_tick);
+    Tick run(Tick limit = max_tick);
 
     /** Execute at most one event. @return false if the queue was empty. */
-    FP_HOT bool step();
+    bool step();
 
     /** Total number of events processed since construction. */
     std::uint64_t eventsProcessed() const { return _processed; }
@@ -334,22 +324,22 @@ class EventQueue
     };
 
     /** Pop heap entries whose event was cancelled or rescheduled. */
-    FP_HOT void pruneStale();
+    void pruneStale();
     /**
      * Reclaim executed queue-owned lambdas. Amortized via
      * _gc_threshold on the hot path; @p force (used when run()
      * completes) sweeps unconditionally so idle queues hold nothing.
      */
-    FP_COLD void collectGarbage(bool force = false);
+    void collectGarbage(bool force = false);
 
     /** Out-of-line observer dispatch (cold unless observers attached). */
-    FP_COLD void notifyBegin(const Event &event);
-    FP_COLD void notifyEnd(const Event &event);
+    void notifyBegin(const Event &event);
+    void notifyEnd(const Event &event);
 
     /** Recompute the cached access-wanting observer after add/remove. */
     void refreshAccessObserver();
 
-    FP_HOT bool
+    bool
     isStale(const Entry &entry) const
     {
         return !entry.event->_scheduled ||
@@ -389,21 +379,21 @@ class AccessRecorder
     /** Inert recorder (no observer); every call is a null-pointer test. */
     AccessRecorder() = default;
 
-    FP_HOT explicit AccessRecorder(const EventQueue &queue)
+    explicit AccessRecorder(const EventQueue &queue)
         : _observer(queue.observer())
     {}
 
     /** True when a detector is listening (lets callers skip work). */
-    FP_HOT bool active() const { return _observer != nullptr; }
+    bool active() const { return _observer != nullptr; }
 
-    FP_HOT void
+    void
     read(const void *resource, const char *label)
     {
         if (_observer)
             _observer->recordAccess(resource, label, false);
     }
 
-    FP_HOT void
+    void
     write(const void *resource, const char *label)
     {
         if (_observer)

@@ -54,7 +54,7 @@ request()
 }
 
 /** Polled by EventQueue::step() before dispatching each event. */
-FP_HOT inline bool
+inline bool
 pending()
 {
     return detail::requested.load(std::memory_order_relaxed);

@@ -31,18 +31,17 @@ class SimObject
     SimObject(const SimObject &) = delete;
     SimObject &operator=(const SimObject &) = delete;
 
-    FP_HOT const std::string &name() const { return _name; }
-    FP_HOT EventQueue &eventQueue() { return _queue; }
-    FP_HOT Tick curTick() const { return _queue.now(); }
+    const std::string &name() const { return _name; }
+    EventQueue &eventQueue() { return _queue; }
+    Tick curTick() const { return _queue.now(); }
 
     StatGroup &stats() { return _stats; }
     const StatGroup &stats() const { return _stats; }
 
   protected:
-    FP_HOT void
-    scheduleIn(std::function<void()> fn, Tick delay,
-               int priority = Event::prio_default,
-               const char *label = "lambda event")
+    void
+    scheduleIn(std::function<void()> fn, Tick delay, int priority,
+               const char *label)
     {
         _queue.scheduleIn(std::move(fn), delay, priority, label);
     }

@@ -26,9 +26,9 @@ namespace fp::common {
 class Scalar
 {
   public:
-    FP_HOT Scalar &operator+=(double v) { _value += v; return *this; }
-    FP_HOT Scalar &operator-=(double v) { _value -= v; return *this; }
-    FP_HOT Scalar &operator++() { _value += 1.0; return *this; }
+    Scalar &operator+=(double v) { _value += v; return *this; }
+    Scalar &operator-=(double v) { _value -= v; return *this; }
+    Scalar &operator++() { _value += 1.0; return *this; }
     void set(double v) { _value = v; }
     void reset() { _value = 0.0; }
     double value() const { return _value; }
@@ -41,7 +41,7 @@ class Scalar
 class Average
 {
   public:
-    FP_HOT void
+    void
     sample(double v)
     {
         _sum += v;
@@ -79,7 +79,7 @@ class Distribution
         reset();
     }
 
-    FP_HOT void sample(double v, std::uint64_t weight = 1);
+    void sample(double v, std::uint64_t weight = 1);
     void reset();
 
     std::uint64_t count() const { return _count; }
@@ -117,7 +117,7 @@ class Histogram
         _min = _max = 0.0;
     }
 
-    FP_HOT void sample(double v, std::uint64_t weight = 1);
+    void sample(double v, std::uint64_t weight = 1);
     void reset();
 
     std::uint64_t total() const { return _total; }

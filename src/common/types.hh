@@ -9,28 +9,6 @@
 #include <cstdint>
 #include <limits>
 
-/**
- * Hot-path annotations, enforced by tools/fp_hotpath.py (see
- * docs/hot_path_analysis.md).
- *
- * FP_HOT marks a function on the per-event / per-message path: the
- * analyzer bans heap allocation inside it (hot-alloc) and requires
- * everything it calls to be FP_HOT, FP_COLD, or known-trivial
- * (hot-escape). It expands to [[gnu::hot]] so the optimizer also
- * groups and favors these functions.
- *
- * FP_COLD marks a function deliberately *off* the hot path - setup,
- * teardown, slow paths behind unlikely branches, observer hooks -
- * that hot code is still allowed to call. It expands to nothing; it
- * exists for the analyzer (and the reader).
- */
-#if defined(__GNUC__) || defined(__clang__)
-#define FP_HOT [[gnu::hot]]
-#else
-#define FP_HOT
-#endif
-#define FP_COLD
-
 namespace fp {
 
 /** Simulation time in picoseconds. */

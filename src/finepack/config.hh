@@ -43,14 +43,14 @@ struct FinePackConfig
     std::uint32_t windows_per_partition = 1;
 
     /** Bits of the sub-header available as the address offset. */
-    FP_HOT std::uint32_t
+    std::uint32_t
     offsetBits() const
     {
         return subheader_bytes * 8 - length_bits;
     }
 
     /** Addressable range per outer transaction, 2^offsetBits() bytes. */
-    FP_HOT std::uint64_t
+    std::uint64_t
     addressableRange() const
     {
         return 1ull << offsetBits();

@@ -35,8 +35,8 @@ class PacketizerObserver
     virtual ~PacketizerObserver() = default;
 
     /** @p txn was packetized and wrapped into wire message @p msg. */
-    FP_COLD virtual void packetEmitted(const FinePackTransaction &txn,
-                                       const icn::WireMessage &msg) = 0;
+    virtual void packetEmitted(const FinePackTransaction &txn,
+                               const icn::WireMessage &msg) = 0;
 };
 
 /** Converts flushed partitions into FinePack transactions / messages. */
@@ -51,14 +51,14 @@ class Packetizer
      * Packetize one flushed partition. The remote write queue's payload
      * accounting guarantees the result fits a single outer transaction.
      */
-    FP_HOT FinePackTransaction
+    FinePackTransaction
     packetize(const FlushedPartition &flushed) const;
 
     /**
      * Packetize and wrap into a wire message using @p protocol for the
      * outer TLP overhead accounting.
      */
-    FP_HOT icn::WireMessagePtr
+    icn::WireMessagePtr
     toMessage(const FlushedPartition &flushed,
               const icn::PcieProtocol &protocol) const;
 
@@ -138,7 +138,7 @@ class DePacketizer
     explicit DePacketizer(const FinePackConfig &config) : _config(config) {}
 
     /** Disaggregate a transaction into individual stores. */
-    FP_HOT std::vector<icn::Store>
+    std::vector<icn::Store>
     unpack(const FinePackTransaction &txn) const;
 
     /** Buffer capacity in bytes (64 entries x 128 B). */

@@ -50,20 +50,20 @@ struct QueueEntry
      * The packed cost of this entry in a FinePack payload: one
      * sub-header plus the run length for every contiguous enabled run.
      */
-    FP_HOT std::uint64_t packedCost(const FinePackConfig &config) const;
+    std::uint64_t packedCost(const FinePackConfig &config) const;
 
     /** Contiguous enabled-byte runs as (start byte, length) pairs. */
-    FP_HOT std::vector<std::pair<std::uint32_t, std::uint32_t>> runs() const;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs() const;
 
     /**
      * [first, last) written-byte span of the line (first enabled byte
      * to one past the last). Unlike runs(), allocates nothing; (0, 0)
      * for an empty mask.
      */
-    FP_HOT std::pair<std::uint32_t, std::uint32_t> writtenSpan() const;
+    std::pair<std::uint32_t, std::uint32_t> writtenSpan() const;
 
     /** Number of enabled bytes. */
-    FP_HOT std::uint32_t validBytes() const
+    std::uint32_t validBytes() const
     { return static_cast<std::uint32_t>(mask.count()); }
 };
 
@@ -114,12 +114,12 @@ class RwqObserver
     virtual ~RwqObserver() = default;
 
     /** A store (after line/window-grid splitting) merged into a window. */
-    FP_COLD virtual void storeBuffered(GpuId dst,
-                                       const icn::Store &store) = 0;
+    virtual void storeBuffered(GpuId dst,
+                               const icn::Store &store) = 0;
 
     /** A window's contents were captured for packetization. */
-    FP_COLD virtual void windowFlushed(const FlushedPartition &flushed,
-                                       FlushReason reason) = 0;
+    virtual void windowFlushed(const FlushedPartition &flushed,
+                               FlushReason reason) = 0;
 
     /**
      * A store hit an already-buffered line and merged in place
@@ -128,7 +128,7 @@ class RwqObserver
      * i.e. wire traffic elided by overwrite-in-place. Optional hook
      * used by the observability layer.
      */
-    FP_COLD virtual void
+    virtual void
     storeCoalesced(GpuId dst, const icn::Store &store,
                    std::uint32_t overwritten_bytes)
     {
@@ -154,27 +154,27 @@ class RwqWindow
 
     /** Base address register; invalid_addr when the window is empty. */
     Addr baseAddrRegister() const { return _base_register; }
-    FP_HOT Addr windowLo() const;
-    FP_HOT Addr windowHi() const;
+    Addr windowLo() const;
+    Addr windowHi() const;
 
     /** The available-payload-length register (paper Figure 8). */
     std::uint64_t availablePayload() const { return _available_payload; }
 
     /** Does @p store fall inside this (non-empty) window? */
-    FP_HOT bool covers(const icn::Store &store) const;
+    bool covers(const icn::Store &store) const;
 
     /**
      * Can @p store be accepted without flushing? Checks the paper's two
      * conditions - window containment (unless empty) and the
      * conservative payload budget - plus SRAM entry capacity.
      */
-    FP_HOT bool accepts(const icn::Store &store) const;
+    bool accepts(const icn::Store &store) const;
 
     /** Would @p store be rejected by the payload budget alone? */
-    FP_HOT bool payloadBound(const icn::Store &store) const;
+    bool payloadBound(const icn::Store &store) const;
 
     /** Would @p store be rejected by SRAM entry capacity alone? */
-    FP_HOT bool entryBound(const icn::Store &store) const;
+    bool entryBound(const icn::Store &store) const;
 
     /** The observable outcome of one insert (for hooks/statistics). */
     struct InsertOutcome
@@ -186,13 +186,13 @@ class RwqWindow
     };
 
     /** Insert a store; accepts(store) must be true. */
-    FP_HOT InsertOutcome insert(const icn::Store &store);
+    InsertOutcome insert(const icn::Store &store);
 
     /** Does any buffered byte overlap [addr, addr+size)? */
-    FP_HOT bool conflicts(Addr addr, std::uint32_t size) const;
+    bool conflicts(Addr addr, std::uint32_t size) const;
 
     /** Remove and return everything buffered (entries sorted). */
-    FP_HOT FlushedPartition take(GpuId dst);
+    FlushedPartition take(GpuId dst);
 
     /** Lifetime statistics. */
     std::uint64_t queueHits() const { return _queue_hits; }
@@ -236,15 +236,15 @@ class RwqPartition
      * The store must not cross a 128 B line boundary and must not be
      * an atomic (the egress port handles those cases).
      */
-    FP_HOT void push(const icn::Store &store,
-                     std::vector<FlushedPartition> &sink);
+    void push(const icn::Store &store,
+              std::vector<FlushedPartition> &sink);
 
     /**
      * Convenience wrapper for the common single-flush case; panics if
      * the push produced more than one flush (use the sink overload
      * when the window can be smaller than a cache line).
      */
-    FP_HOT std::optional<FlushedPartition> push(const icn::Store &store);
+    std::optional<FlushedPartition> push(const icn::Store &store);
 
     /**
      * Flush all windows (synchronization); empty windows contribute
@@ -252,9 +252,9 @@ class RwqPartition
      * oldest first. The single-window convenience form returns the
      * first (or an empty result).
      */
-    FP_HOT void flush(FlushReason reason,
-                      std::vector<FlushedPartition> &sink);
-    FP_HOT FlushedPartition flush(FlushReason reason);
+    void flush(FlushReason reason,
+               std::vector<FlushedPartition> &sink);
+    FlushedPartition flush(FlushReason reason);
 
     /**
      * Flush only if @p addr..addr+size overlaps a buffered store (the
@@ -262,10 +262,10 @@ class RwqPartition
      * conflict triggers a full partition flush, like a synchronization
      * would. @return true when a conflict existed.
      */
-    FP_HOT bool flushIfConflict(Addr addr, std::uint32_t size,
-                                FlushReason reason,
-                                std::vector<FlushedPartition> &sink);
-    FP_HOT std::optional<FlushedPartition>
+    bool flushIfConflict(Addr addr, std::uint32_t size,
+                         FlushReason reason,
+                         std::vector<FlushedPartition> &sink);
+    std::optional<FlushedPartition>
     flushIfConflict(Addr addr, std::uint32_t size, FlushReason reason);
 
     bool empty() const;
@@ -304,17 +304,17 @@ class RwqPartition
     std::uint64_t queueHits() const;
 
   private:
-    FP_HOT void pushPiece(const icn::Store &store,
-                          std::vector<FlushedPartition> &sink);
+    void pushPiece(const icn::Store &store,
+                   std::vector<FlushedPartition> &sink);
     /** Flush @p window into @p sink, notifying the observer in order. */
-    FP_HOT void captureWindow(RwqWindow &window, FlushReason reason,
-                              std::vector<FlushedPartition> &sink);
+    void captureWindow(RwqWindow &window, FlushReason reason,
+                       std::vector<FlushedPartition> &sink);
     /** Insert into @p window, notifying the observer in order. */
-    FP_HOT void insertObserved(RwqWindow &window,
-                               const icn::Store &store);
-    FP_HOT void recordFlush(FlushReason reason);
+    void insertObserved(RwqWindow &window,
+                        const icn::Store &store);
+    void recordFlush(FlushReason reason);
     /** Move @p index to the back of the LRU order (most recent). */
-    FP_HOT void touch(std::uint32_t index);
+    void touch(std::uint32_t index);
 
     GpuId _dst;
     FinePackConfig _config;
@@ -343,28 +343,28 @@ class RemoteWriteQueue
                      const FinePackConfig &config);
 
     /** Buffer a store for its destination partition. */
-    FP_HOT void push(const icn::Store &store,
-                     std::vector<FlushedPartition> &sink);
+    void push(const icn::Store &store,
+              std::vector<FlushedPartition> &sink);
 
     /** Convenience wrapper; see RwqPartition::push(store). */
-    FP_HOT std::optional<FlushedPartition> push(const icn::Store &store);
+    std::optional<FlushedPartition> push(const icn::Store &store);
 
     /** Flush one destination's partition (first window's contents). */
-    FP_HOT FlushedPartition flush(GpuId dst, FlushReason reason);
+    FlushedPartition flush(GpuId dst, FlushReason reason);
 
     /** Flush every partition (system-scoped release). */
-    FP_HOT std::vector<FlushedPartition> flushAll(FlushReason reason);
+    std::vector<FlushedPartition> flushAll(FlushReason reason);
 
     /** Same-address ordering check for loads/atomics. */
-    FP_HOT bool flushIfConflict(GpuId dst, Addr addr, std::uint32_t size,
-                                FlushReason reason,
-                                std::vector<FlushedPartition> &sink);
-    FP_HOT std::optional<FlushedPartition>
+    bool flushIfConflict(GpuId dst, Addr addr, std::uint32_t size,
+                         FlushReason reason,
+                         std::vector<FlushedPartition> &sink);
+    std::optional<FlushedPartition>
     flushIfConflict(GpuId dst, Addr addr, std::uint32_t size,
                     FlushReason reason);
 
-    FP_HOT RwqPartition &partition(GpuId dst);
-    FP_HOT const RwqPartition &partition(GpuId dst) const;
+    RwqPartition &partition(GpuId dst);
+    const RwqPartition &partition(GpuId dst) const;
 
     /** Attach a causal-order observer to every partition. */
     void addObserver(RwqObserver *observer);

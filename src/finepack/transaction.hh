@@ -46,16 +46,16 @@ class FinePackTransaction
      * field widths or the payload budget (the remote write queue
      * guarantees they never do).
      */
-    FP_HOT void append(Addr addr, std::uint32_t length,
-                       std::vector<std::uint8_t> data = {});
+    void append(Addr addr, std::uint32_t length,
+                std::vector<std::uint8_t> data = {});
 
     /** Pre-size the sub-packet vector (>= one sub-packet per entry). */
-    FP_HOT void reserve(std::size_t n) { _subs.reserve(n); }
+    void reserve(std::size_t n) { _subs.reserve(n); }
 
     GpuId src() const { return _src; }
     GpuId dst() const { return _dst; }
-    FP_HOT Addr baseAddr() const { return _base; }
-    FP_HOT const std::vector<SubPacket> &subPackets() const
+    Addr baseAddr() const { return _base; }
+    const std::vector<SubPacket> &subPackets() const
     { return _subs; }
     const FinePackConfig &config() const { return _config; }
 
@@ -63,10 +63,10 @@ class FinePackTransaction
     std::uint64_t rawPayloadBytes() const { return _payload; }
 
     /** Payload bytes on the wire (DW padded, per the outer Last BE). */
-    FP_HOT std::uint64_t wirePayloadBytes() const;
+    std::uint64_t wirePayloadBytes() const;
 
     /** Store data bytes carried (excluding sub-headers). */
-    FP_HOT std::uint64_t dataBytes() const { return _data_bytes; }
+    std::uint64_t dataBytes() const { return _data_bytes; }
 
     /** Number of sub-packets. */
     std::size_t size() const { return _subs.size(); }

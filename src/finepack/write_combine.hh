@@ -53,14 +53,14 @@ class WriteCombineBuffer
      * Buffer one store; returns the evicted line when the insertion
      * displaced the LRU line.
      */
-    FP_HOT std::optional<WcLine> push(const icn::Store &store);
+    std::optional<WcLine> push(const icn::Store &store);
 
     /** Flush all buffered lines (synchronization), in address order. */
-    FP_HOT std::vector<WcLine> flushAll();
+    std::vector<WcLine> flushAll();
 
     /** Wrap a flushed line into a full-line write message. */
-    FP_HOT icn::WireMessagePtr lineToMessage(const WcLine &line,
-                                      const icn::PcieProtocol &protocol)
+    icn::WireMessagePtr lineToMessage(const WcLine &line,
+                               const icn::PcieProtocol &protocol)
         const;
 
     std::size_t lineCount() const { return _lru.size(); }

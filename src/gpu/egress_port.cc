@@ -26,7 +26,7 @@ class StageTracer : public finepack::RwqObserver,
         : _sink(sink), _queue(queue), _pid(pid)
     {}
 
-    FP_COLD void
+    void
     storeBuffered(GpuId dst, const icn::Store &store) override
     {
         if (!_sink.full())
@@ -37,7 +37,7 @@ class StageTracer : public finepack::RwqObserver,
                       {"bytes", static_cast<double>(store.size)});
     }
 
-    FP_COLD void
+    void
     storeCoalesced(GpuId dst, const icn::Store &store,
                    std::uint32_t overwritten_bytes) override
     {
@@ -51,7 +51,7 @@ class StageTracer : public finepack::RwqObserver,
                        static_cast<double>(overwritten_bytes)});
     }
 
-    FP_COLD void
+    void
     windowFlushed(const finepack::FlushedPartition &flushed,
                   finepack::FlushReason reason) override
     {
@@ -66,7 +66,7 @@ class StageTracer : public finepack::RwqObserver,
                        static_cast<double>(flushed.packed_store_count)});
     }
 
-    FP_COLD void
+    void
     packetEmitted(const finepack::FinePackTransaction &txn,
                   const icn::WireMessage &msg) override
     {

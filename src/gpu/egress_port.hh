@@ -62,7 +62,7 @@ class EgressPort : public common::SimObject
      * cross cache-line boundaries; atomics flush the conflicting queue
      * state and travel as dedicated (uncoalesced) messages.
      */
-    FP_HOT void issueStore(const icn::Store &store);
+    void issueStore(const icn::Store &store);
 
     /**
      * Issue a batch of stores that become visible at the same tick
@@ -72,21 +72,21 @@ class EgressPort : public common::SimObject
      * event-count saving for store-heavy workloads. The other modes
      * push each store through their buffers individually.
      */
-    FP_HOT void issueStores(const std::vector<icn::Store> &stores,
-                     std::size_t begin, std::size_t end);
+    void issueStores(const std::vector<icn::Store> &stores,
+              std::size_t begin, std::size_t end);
 
     /**
      * System-scoped release (memory fence or kernel completion): all
      * buffered state flushes to the interconnect.
      */
-    FP_HOT void releaseFence();
+    void releaseFence();
 
     /**
      * A remote load is about to be issued to (dst, addr, size): enforce
      * same-address load-store ordering by flushing a matching partition.
      */
-    FP_HOT void notifyRemoteLoad(GpuId dst, Addr addr,
-                                 std::uint32_t size);
+    void notifyRemoteLoad(GpuId dst, Addr addr,
+                          std::uint32_t size);
 
     /**
      * Attach the shadow-memory protocol oracle (finepack mode only) to
@@ -132,13 +132,13 @@ class EgressPort : public common::SimObject
     double avgStoresPerMessage() const;
 
   private:
-    FP_HOT void issueAligned(const icn::Store &store);
-    FP_HOT void issueAtomic(const icn::Store &store);
-    FP_HOT void sendRaw(const icn::Store &store, icn::MessageKind kind);
-    FP_HOT void sendFlushed(const finepack::FlushedPartition &flushed);
-    FP_HOT void sendWcLine(GpuId dst, const finepack::WcLine &line);
-    FP_COLD void armTimeout(GpuId dst);
-    FP_COLD void timeoutFired(GpuId dst);
+    void issueAligned(const icn::Store &store);
+    void issueAtomic(const icn::Store &store);
+    void sendRaw(const icn::Store &store, icn::MessageKind kind);
+    void sendFlushed(const finepack::FlushedPartition &flushed);
+    void sendWcLine(GpuId dst, const finepack::WcLine &line);
+    void armTimeout(GpuId dst);
+    void timeoutFired(GpuId dst);
 
     GpuId _self;
     std::uint32_t _num_gpus;

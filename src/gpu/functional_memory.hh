@@ -26,7 +26,7 @@ class FunctionalMemory
     static constexpr std::uint64_t page_bytes = 4096;
 
     /** Apply one store's data (must carry payload bytes). */
-    FP_COLD void apply(const icn::Store &store);
+    void apply(const icn::Store &store);
 
     /** Write raw bytes. */
     void write(Addr addr, const std::uint8_t *data, std::uint64_t size);

@@ -62,7 +62,7 @@ struct GpuConfig
     }
 
     /** HBM bandwidth in bytes per tick. */
-    FP_HOT double
+    double
     hbmBytesPerTick() const
     {
         return static_cast<double>(hbm_bytes_per_sec) /

@@ -82,7 +82,6 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
     eventQueue().schedule(
         [this, msg]() {
             if (_delivered_cb)
-                // fp-lint: allow(hot-escape) indirect callable (drain hook); ROADMAP item 1
                 _delivered_cb(msg);
         },
         _busy_until, common::Event::prio_default, "ingress.drain");

@@ -36,7 +36,7 @@ class IngressPort : public common::SimObject
      * local memory system at HBM write bandwidth (never slower than the
      * interconnect can deliver, per Section IV-C, but modeled anyway).
      */
-    FP_HOT void receive(const icn::WireMessagePtr &msg);
+    void receive(const icn::WireMessagePtr &msg);
 
     /** Attach a functional memory that delivered store data writes to. */
     void attachMemory(FunctionalMemory *memory) { _memory = memory; }

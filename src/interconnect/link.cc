@@ -165,14 +165,12 @@ Link::transmit(const WireMessagePtr &msg,
     }
 
     if (on_transmit)
-        // fp-lint: allow(hot-escape) indirect callable (switch buffer-free hook); ROADMAP item 1
         on_transmit();
 
     Tick arrive = _busy_until + _latency;
     eventQueue().schedule(
         [this, msg]() {
             if (_deliver)
-                // fp-lint: allow(hot-escape) indirect callable (receiver hook); ROADMAP item 1
                 _deliver(msg);
         },
         arrive, common::Event::prio_arrival, "link.deliver");

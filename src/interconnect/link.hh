@@ -47,8 +47,8 @@ class Link : public common::SimObject
      * return. @p on_transmit fires when serialization actually starts
      * (used by the switch to free its ingress buffer).
      */
-    FP_HOT void send(const WireMessagePtr &msg,
-              std::function<void()> on_transmit = {});
+    void send(const WireMessagePtr &msg,
+       std::function<void()> on_transmit = {});
 
     /**
      * Enable credit-based flow control: at most @p bytes of wire data
@@ -60,7 +60,7 @@ class Link : public common::SimObject
     void setCreditLimit(std::uint64_t bytes);
 
     /** Return @p bytes of receiver buffer; unblocks waiting messages. */
-    FP_HOT void releaseCredits(std::uint64_t bytes);
+    void releaseCredits(std::uint64_t bytes);
 
     std::uint64_t creditLimit() const { return _credit_limit; }
     std::uint64_t creditsInUse() const { return _credits_in_use; }
@@ -73,7 +73,7 @@ class Link : public common::SimObject
     Tick busyUntil() const { return _busy_until; }
 
     /** True when nothing is queued or in flight on the wire. */
-    FP_HOT bool idle() const { return _busy_until <= curTick(); }
+    bool idle() const { return _busy_until <= curTick(); }
 
     double bytesPerTick() const { return _bytes_per_tick; }
 
@@ -134,11 +134,11 @@ class Link : public common::SimObject
 
   private:
     /** Begin serializing a message (credits already consumed). */
-    FP_HOT void transmit(const WireMessagePtr &msg,
-                  const std::function<void()> &on_transmit,
-                  Tick enqueued);
+    void transmit(const WireMessagePtr &msg,
+           const std::function<void()> &on_transmit,
+           Tick enqueued);
     /** Start any waiting messages that now fit the credit budget. */
-    FP_HOT void drainWaiting();
+    void drainWaiting();
 
     double _bytes_per_tick;
     Tick _latency;

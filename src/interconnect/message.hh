@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/alloc_counters.hh"
 #include "common/types.hh"
 #include "interconnect/store.hh"
 #include "obs/latency.hh"
@@ -35,7 +34,7 @@ enum class MessageKind : std::uint8_t {
     atomic_op,
 };
 
-FP_COLD const char *toString(MessageKind kind);
+const char *toString(MessageKind kind);
 
 /** Number of MessageKind values (for per-kind accounting arrays). */
 inline constexpr std::size_t message_kind_count = 5;
@@ -79,23 +78,15 @@ struct WireMessage
      */
     std::vector<obs::StoreStamp> store_stamps;
 
-    FP_HOT std::uint64_t wireBytes() const
-    { return payload_bytes + header_bytes; }
+    std::uint64_t wireBytes() const { return payload_bytes + header_bytes; }
 };
 
 using WireMessagePtr = std::shared_ptr<WireMessage>;
 
-/**
- * Sole allocation point for wire messages. Routes every allocation
- * through common::AllocCounters so the host-side profiler can report
- * message-churn on the hot path (one branch when profiling is off),
- * and gives ROADMAP item 1's pool allocator a single seam to replace.
- */
-FP_HOT inline WireMessagePtr
+/** Sole allocation point for wire messages (the seam a pool replaces). */
+inline WireMessagePtr
 makeWireMessage()
 {
-    common::AllocCounters::countWireMessage();
-    // fp-lint: allow(hot-alloc) the single wire-message allocation seam; pooling is ROADMAP item 1
     return std::make_shared<WireMessage>();
 }
 

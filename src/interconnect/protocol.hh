@@ -65,7 +65,7 @@ class PcieProtocol
     const Params &params() const { return _params; }
 
     /** Fixed per-TLP overhead (framing + header + LCRC + DLLP share). */
-    FP_HOT std::uint64_t tlpOverhead() const;
+    std::uint64_t tlpOverhead() const;
 
     /** Maximum TLP payload in bytes. */
     std::uint64_t maxPayload() const { return _params.max_payload; }
@@ -75,10 +75,10 @@ class PcieProtocol
      * at @p addr: the DW-aligned span covering the access (sub-DW edges
      * are carried as whole DWs with first/last byte enables).
      */
-    FP_HOT std::uint64_t payloadOnWire(Addr addr, std::uint64_t size) const;
+    std::uint64_t payloadOnWire(Addr addr, std::uint64_t size) const;
 
     /** Total wire bytes for one ordinary memory-write TLP. */
-    FP_HOT std::uint64_t storeWireBytes(Addr addr, std::uint64_t size) const;
+    std::uint64_t storeWireBytes(Addr addr, std::uint64_t size) const;
 
     /**
      * Goodput of @p size byte aligned writes: useful bytes divided by
@@ -88,7 +88,7 @@ class PcieProtocol
     double goodput(std::uint64_t size) const;
 
     /** Link bandwidth in bytes per simulation tick (tick = 1 ps). */
-    FP_HOT double bytesPerTick() const;
+    double bytesPerTick() const;
 
     /** Link bandwidth in bytes per second. */
     std::uint64_t bytesPerSec() const { return _bandwidth; }

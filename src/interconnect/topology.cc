@@ -30,7 +30,6 @@ SwitchedFabric::SwitchedFabric(const std::string &name,
             params.bytes_per_tick, params.link_latency,
             [this, g](const WireMessagePtr &msg) {
                 if (_ingress[g])
-                    // fp-lint: allow(hot-escape) indirect callable (ingress hook); ROADMAP item 1
                     _ingress[g](msg);
             }));
         if (params.switch_buffer_bytes != 0)

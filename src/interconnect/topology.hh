@@ -63,13 +63,13 @@ class SwitchedFabric : public common::SimObject
     void setIngressHandler(GpuId gpu, IngressFn handler);
 
     /** Inject a message at its source GPU's uplink. */
-    FP_HOT void inject(const WireMessagePtr &msg);
+    void inject(const WireMessagePtr &msg);
 
     /**
      * Return endpoint receive-buffer credits for GPU @p gpu (only
      * meaningful when endpoint_buffer_bytes is configured).
      */
-    FP_HOT void releaseEndpointCredits(GpuId gpu, std::uint64_t bytes);
+    void releaseEndpointCredits(GpuId gpu, std::uint64_t bytes);
 
     std::uint32_t numGpus() const { return _num_gpus; }
     const FabricParams &params() const { return _params; }
@@ -102,7 +102,7 @@ class SwitchedFabric : public common::SimObject
     void setProbes(const obs::Probes &probes);
 
   private:
-    FP_HOT void forward(const WireMessagePtr &msg);
+    void forward(const WireMessagePtr &msg);
 
     std::uint32_t _num_gpus;
     FabricParams _params;

@@ -19,8 +19,8 @@
  * never reallocates; record() is one relaxed fetch_add (slot claim)
  * plus a handful of relaxed stores into that slot's atomic fields. No
  * locks, no allocation -- safe to call on the per-event hot path
- * (FP_HOT, zero allocations after setup; fp_hotpath_runtime_check.py
- * proves the zero) and safe to *read* from an async signal handler or
+ * (zero allocations after setup; tests/sim/alloc_budget_test.cc holds
+ * this) and safe to *read* from an async signal handler or
  * the watchdog thread. Slots are claimed before they are filled, so a
  * reader racing a writer can see one slot mid-update (a torn record:
  * fields from two generations). Post-mortem output is diagnostic, not
@@ -106,8 +106,8 @@ class FlightRecorder : public common::EventQueueObserver
      * Append one record (wait-free, zero-alloc; see file comment).
      * @p label must be immortal (string literal).
      */
-    FP_HOT void record(FlightKind kind, Tick tick, const char *label,
-                       std::uint64_t a = 0, std::uint64_t b = 0);
+    void record(FlightKind kind, Tick tick, const char *label,
+                std::uint64_t a = 0, std::uint64_t b = 0);
 
     // ---- EventQueueObserver --------------------------------------------
     /** Records the event and publishes run-progress counters. */

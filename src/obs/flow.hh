@@ -159,17 +159,17 @@ class FlowCollector
                                GpuId gpu) FP_EXCLUDES(_mu);
 
     /** One message injected into the fabric at its source uplink. */
-    FP_COLD void recordInject(GpuId src, GpuId dst, std::uint64_t wire_bytes,
-                      std::uint64_t payload_bytes,
-                      std::uint64_t data_bytes,
-                      std::uint64_t packed_stores) FP_EXCLUDES(_mu);
+    void recordInject(GpuId src, GpuId dst, std::uint64_t wire_bytes,
+              std::uint64_t payload_bytes,
+              std::uint64_t data_bytes,
+              std::uint64_t packed_stores) FP_EXCLUDES(_mu);
 
     /** One serialization start on a registered link. */
-    FP_COLD void recordTransmit(const LinkTransmit &tx) FP_EXCLUDES(_mu);
+    void recordTransmit(const LinkTransmit &tx) FP_EXCLUDES(_mu);
 
     /** One message committed at its destination ingress port. */
-    FP_COLD void recordCommit(GpuId src, GpuId dst, std::uint64_t wire_bytes,
-                      std::uint64_t data_bytes) FP_EXCLUDES(_mu);
+    void recordCommit(GpuId src, GpuId dst, std::uint64_t wire_bytes,
+              std::uint64_t data_bytes) FP_EXCLUDES(_mu);
 
     // ---- Quiescent-read accessors (see class comment) -----------------
     std::uint32_t numGpus() const { return _num_gpus; }

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "check/invariant.hh"
-#include "common/alloc_counters.hh"
 #include "obs/fatal.hh"
 #include "obs/flight_recorder.hh"
 
@@ -238,13 +237,7 @@ HealthMonitor::emitHeartbeat(std::uint64_t now_ns)
     }
     line << ",\"invariant_checks\":"
          << check::InvariantRegistry::instance().totalChecks()
-         << ",\"alloc\":{\"lambda_events\":"
-         << common::AllocCounters::lambda_events.load(
-                std::memory_order_relaxed)
-         << ",\"wire_messages\":"
-         << common::AllocCounters::wire_messages.load(
-                std::memory_order_relaxed)
-         << "},\"rss_hwm_kb\":" << rssHighWaterKb();
+         << ",\"rss_hwm_kb\":" << rssHighWaterKb();
     const auto *done = _sweep_done.load(std::memory_order_acquire);
     const auto *total = _sweep_total.load(std::memory_order_acquire);
     if (done && total) {

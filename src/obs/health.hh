@@ -10,13 +10,12 @@
  * outstanding). HealthMonitor owns a single watchdog thread (fp::Thread
  * on the annotated sync primitives in common/sync.h) that wakes every
  * heartbeat interval, reads ONLY the relaxed progress atomics published
- * by a FlightRecorder / SweepRunner / common::AllocCounters, and:
+ * by a FlightRecorder / SweepRunner, and:
  *
  *  - emits one line-delimited JSON `kind:"heartbeat"` document (tick,
  *    events, events/sec, queue depth/peak, RWQ flush totals, invariant
- *    evaluations, allocation counters, RSS high-water from
- *    /proc/self/status, sweep done/total with an ETA) to stderr or the
- *    configured path,
+ *    evaluations, RSS high-water from /proc/self/status, sweep
+ *    done/total with an ETA) to stderr or the configured path,
  *  - publishes that line into the fatal handler's buffer
  *    (obs::fatal::setLastHeartbeat) so post-mortems carry the last
  *    known-good progress sample, and
@@ -76,7 +75,7 @@ class HealthMonitor
      * Progress source (nullable). The recorder must outlive the
      * monitor or be detached with attachRecorder(nullptr) + stop()
      * first. Without a recorder, heartbeats still carry host-side
-     * fields (alloc, RSS, sweep) but stall detection is off.
+     * fields (RSS, sweep) but stall detection is off.
      */
     void attachRecorder(const FlightRecorder *recorder);
 

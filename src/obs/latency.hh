@@ -102,9 +102,9 @@ class LatencyCollector
      * write-combine paths have no per-store issue stamps and only
      * contribute the message-level stages).
      */
-    FP_COLD void record(GpuId dst, const MsgTimestamps &t, Tick arrival,
-                Tick commit, const StoreStamp *stamps,
-                std::size_t count) FP_EXCLUDES(_mu);
+    void record(GpuId dst, const MsgTimestamps &t, Tick arrival,
+        Tick commit, const StoreStamp *stamps,
+        std::size_t count) FP_EXCLUDES(_mu);
 
     std::uint64_t messages() const FP_EXCLUDES(_mu);
     std::uint64_t stores() const FP_EXCLUDES(_mu);

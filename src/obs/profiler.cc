@@ -6,7 +6,6 @@
 #include <chrono>
 #include <map>
 
-#include "common/alloc_counters.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/trace_event.hh"
@@ -39,11 +38,6 @@ Profiler::beginRun(common::EventQueue *queue)
     fp_assert(_stack.empty(), "profiler run started inside an open frame");
     _queue = queue;
     _queue->addObserver(this);
-    common::AllocCounters::active.fetch_add(1, std::memory_order_relaxed);
-    _alloc_lambda_base = common::AllocCounters::lambda_events.load(
-        std::memory_order_relaxed);
-    _alloc_wire_base = common::AllocCounters::wire_messages.load(
-        std::memory_order_relaxed);
     _run_start_ns = nowNs();
     if (!_origin_set) {
         _origin_ns = _run_start_ns;
@@ -61,15 +55,6 @@ Profiler::endRun()
     _queue_pops += _queue->eventsProcessed();
     _queue_stale_drops += _queue->staleDrops();
     _queue_peak_depth = std::max(_queue_peak_depth, _queue->peakDepth());
-    // Process-wide deltas: coarse by design under parallel sweeps
-    // (concurrent shards fold into whichever profilers are active).
-    _lambda_allocs += common::AllocCounters::lambda_events.load(
-                          std::memory_order_relaxed) -
-                      _alloc_lambda_base;
-    _wire_allocs += common::AllocCounters::wire_messages.load(
-                        std::memory_order_relaxed) -
-                    _alloc_wire_base;
-    common::AllocCounters::active.fetch_sub(1, std::memory_order_relaxed);
     _queue->removeObserver(this);
     _queue = nullptr;
 }
@@ -192,11 +177,6 @@ Profiler::dumpJson(common::JsonWriter &json, std::size_t top_n) const
     json.kv("peak_depth",
             static_cast<std::uint64_t>(_queue_peak_depth));
     json.endObject();
-    json.key("alloc");
-    json.beginObject();
-    json.kv("lambda_events", _lambda_allocs);
-    json.kv("wire_messages", _wire_allocs);
-    json.endObject();
     json.key("hotspots");
     json.beginArray();
     for (const HostHotspot &spot : hotspots(top_n)) {
@@ -249,8 +229,6 @@ Profiler::reset()
     _queue_pops = 0;
     _queue_stale_drops = 0;
     _queue_peak_depth = 0;
-    _lambda_allocs = 0;
-    _wire_allocs = 0;
     _origin_ns = 0;
     _origin_set = false;
 }

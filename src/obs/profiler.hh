@@ -8,10 +8,7 @@
  * labels (Event::description()), aggregated into per-label buckets
  * (count, total ns, self ns, max ns) with a top-N hotspot report. It
  * also snapshots the queue's operation counters (pushes, pops, stale
- * drops, peak heap depth) and the coarse allocation counters on the
- * event / wire-message hot paths (common::AllocCounters), and derives
- * events-per-second throughput - the number ROADMAP item 1's engine
- * overhaul will be judged by.
+ * drops, peak heap depth) and derives events-per-second throughput.
  *
  * Cost model: off (not attached - every normal run) is exactly the
  * queue's no-observer fast path: zero per-event virtual dispatch. On,
@@ -22,9 +19,8 @@
  * AccessRecorder on its null fast path.
  *
  * Threading: one Profiler serves one simulation thread at a time.
- * Parallel sweeps (sim::SweepRunner) use one Profiler per shard; only
- * the process-wide AllocCounters are shared (atomic, and documented as
- * coarse under concurrency). See docs/profiling.md.
+ * Parallel sweeps (sim::SweepRunner) use one Profiler per shard; no
+ * profiler state is shared between shards. See docs/profiling.md.
  */
 
 #ifndef FP_OBS_PROFILER_HH
@@ -94,17 +90,16 @@ class Profiler : public common::EventQueueObserver
     };
 
     /**
-     * Attach to @p queue (observer hooks + wall-clock start) and
-     * activate the process-wide allocation counters. One run at a
-     * time; aggregates accumulate across runs so N reps of a workload
-     * fold into one report.
+     * Attach to @p queue (observer hooks + wall-clock start). One run
+     * at a time; aggregates accumulate across runs so N reps of a
+     * workload fold into one report.
      */
     void beginRun(common::EventQueue *queue);
 
     /**
-     * Detach from the run's queue, folding its wall time, operation
-     * counters, and allocation deltas into the aggregates. Must be
-     * called while the queue is still alive.
+     * Detach from the run's queue, folding its wall time and operation
+     * counters into the aggregates. Must be called while the queue is
+     * still alive.
      */
     void endRun();
 
@@ -125,9 +120,6 @@ class Profiler : public common::EventQueueObserver
     std::uint64_t queueStaleDrops() const { return _queue_stale_drops; }
     std::size_t queuePeakDepth() const { return _queue_peak_depth; }
 
-    std::uint64_t lambdaEventAllocs() const { return _lambda_allocs; }
-    std::uint64_t wireMessageAllocs() const { return _wire_allocs; }
-
     /**
      * Hotspots sorted by self time (descending; label breaks ties for
      * determinism across equal times). Buckets sharing label *text*
@@ -138,8 +130,8 @@ class Profiler : public common::EventQueueObserver
 
     /**
      * The stats-JSON `host` object (schema in docs/profiling.md):
-     * wall_ns, events, events_per_sec, queue counters, alloc counters,
-     * and the hotspot table.
+     * wall_ns, events, events_per_sec, queue counters, and the hotspot
+     * table.
      */
     void dumpJson(common::JsonWriter &json, std::size_t top_n = 0) const;
 
@@ -212,15 +204,11 @@ class Profiler : public common::EventQueueObserver
     std::uint64_t _queue_pops = 0;
     std::uint64_t _queue_stale_drops = 0;
     std::size_t _queue_peak_depth = 0;
-    std::uint64_t _lambda_allocs = 0;
-    std::uint64_t _wire_allocs = 0;
 
     /** Wall-ns origin of the host timeline (first beginRun()). */
     std::uint64_t _origin_ns = 0;
     bool _origin_set = false;
     std::uint64_t _run_start_ns = 0;
-    std::uint64_t _alloc_lambda_base = 0;
-    std::uint64_t _alloc_wire_base = 0;
 };
 
 } // namespace fp::obs

@@ -51,7 +51,7 @@ inline constexpr std::uint32_t trace_pid_sim = 0;
 inline constexpr std::uint32_t trace_pid_host = 0xffffu;
 
 /** pid of GPU @p g (pid 0 is reserved for the sim driver). */
-FP_HOT inline std::uint32_t
+inline std::uint32_t
 tracePidGpu(GpuId g)
 {
     return g + 1;
@@ -82,25 +82,25 @@ class TraceSink
         : _detail(detail)
     {}
 
-    FP_HOT TraceDetail detail() const { return _detail; }
+    TraceDetail detail() const { return _detail; }
     /** True when per-store / per-message hooks should fire. */
-    FP_HOT bool full() const { return _detail == TraceDetail::full; }
+    bool full() const { return _detail == TraceDetail::full; }
 
     using Arg = TraceArg;
 
     /** Complete duration span (ph "X"). */
-    FP_COLD void complete(std::uint32_t pid, std::uint32_t tid, const char *name,
-                  const char *cat, Tick ts, Tick dur, Arg a0 = {},
-                  Arg a1 = {}, Arg a2 = {});
+    void complete(std::uint32_t pid, std::uint32_t tid, const char *name,
+          const char *cat, Tick ts, Tick dur, Arg a0 = {},
+          Arg a1 = {}, Arg a2 = {});
 
     /** Instant event (ph "i", thread scope). */
-    FP_COLD void instant(std::uint32_t pid, std::uint32_t tid, const char *name,
-                 const char *cat, Tick ts, Arg a0 = {}, Arg a1 = {},
-                 Arg a2 = {});
+    void instant(std::uint32_t pid, std::uint32_t tid, const char *name,
+         const char *cat, Tick ts, Arg a0 = {}, Arg a1 = {},
+         Arg a2 = {});
 
     /** Counter sample (ph "C"); @p track may be a dynamic string. */
-    FP_COLD void counter(std::uint32_t pid, const std::string &track, Tick ts,
-                 double value);
+    void counter(std::uint32_t pid, const std::string &track, Tick ts,
+         double value);
 
     /**
      * Flow events (ph "s" / "t" / "f") chaining slices across
@@ -108,12 +108,12 @@ class TraceSink
      * in Perfetto. Each binds to the enclosing ph-"X" slice on the
      * same pid/tid at @p ts.
      */
-    FP_COLD void flowStart(std::uint32_t pid, std::uint32_t tid, const char *name,
-                   const char *cat, Tick ts, std::uint64_t id);
-    FP_COLD void flowStep(std::uint32_t pid, std::uint32_t tid, const char *name,
-                  const char *cat, Tick ts, std::uint64_t id);
-    FP_COLD void flowEnd(std::uint32_t pid, std::uint32_t tid, const char *name,
-                 const char *cat, Tick ts, std::uint64_t id);
+    void flowStart(std::uint32_t pid, std::uint32_t tid, const char *name,
+           const char *cat, Tick ts, std::uint64_t id);
+    void flowStep(std::uint32_t pid, std::uint32_t tid, const char *name,
+          const char *cat, Tick ts, std::uint64_t id);
+    void flowEnd(std::uint32_t pid, std::uint32_t tid, const char *name,
+         const char *cat, Tick ts, std::uint64_t id);
 
     /** Process / thread naming metadata (ph "M"). */
     void processName(std::uint32_t pid, const std::string &name);

@@ -164,7 +164,7 @@ struct SimSystem
  * handler. Polls the cooperative interrupt flag so SIGINT unwinds at
  * the next queue step instead of after the full spin.
  */
-FP_COLD void
+void
 spinHostMs(std::uint32_t ms)
 {
     // fp-lint: allow(wall-clock) deliberate host-time spin (watchdog test aid)
@@ -520,7 +520,7 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
     }
 
     // Detach the profiler while the queue is alive; it folds this
-    // run's wall time and queue/alloc counters into its aggregates.
+    // run's wall time and queue counters into its aggregates.
     if (_config.profiler)
         _config.profiler->endRun();
     // Publish final queue counters into the recorder and detach it

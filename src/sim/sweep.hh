@@ -50,9 +50,7 @@ namespace fp::sim {
  * sweep runs with more than one lane -- the sinks are not
  * synchronized. Host self-profiling under a parallel sweep therefore
  * means one obs::Profiler per job (tests/sim/profiler_thread_test.cc
- * exercises this under TSan); only the process-wide
- * common::AllocCounters are shared, and those are atomic and
- * documented as coarse when profiled shards overlap.
+ * exercises this under TSan).
  */
 struct SweepJob
 {

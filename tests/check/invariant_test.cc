@@ -125,7 +125,8 @@ TEST_F(InvariantTest, EventQueueIsInstrumented)
 
     common::EventQueue queue;
     int fired = 0;
-    queue.schedule([&fired]() { ++fired; }, 10);
+    queue.schedule([&fired]() { ++fired; }, 10,
+                   common::Event::prio_default, "test.event");
     queue.run();
 
     auto &registry = InvariantRegistry::instance();

@@ -41,7 +41,7 @@ scheduleAccess(EventQueue &queue, Tick when, int priority,
             else
                 rec.read(resource, label);
         },
-        when, priority);
+        when, priority, "test.event");
 }
 
 trace::WorkloadTrace
@@ -142,9 +142,9 @@ TEST(RaceDetectorTest, RepeatedAccessesWithinOneEventDoNotConflict)
             rec.write(&resource, "r");
             rec.write(&resource, "r");
         },
-        10, Event::prio_default);
+        10, Event::prio_default, "test.event");
     // A second, non-touching event keeps the batch contended.
-    queue.schedule([]() {}, 10, Event::prio_default);
+    queue.schedule([]() {}, 10, Event::prio_default, "test.event");
     queue.run();
     detector.finish();
 

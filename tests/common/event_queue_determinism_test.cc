@@ -66,7 +66,7 @@ journalOneRun(std::uint64_t seed)
         if (rng.below(2) == 0) {
             // Queue-owned lambda event.
             queue.schedule([&journal, label]() { journal.push_back(label); },
-                           when, priority);
+                           when, priority, "test.event");
         } else {
             events.push_back(std::make_unique<JournalEvent>(
                 journal, label, priority));
@@ -108,7 +108,7 @@ TEST(EventQueueDeterminismTest, SamePriorityTiesBreakByInsertion)
     for (int i = 0; i < 8; ++i) {
         queue.schedule([&journal, i]() {
             journal.push_back(std::to_string(i));
-        }, 10, Event::prio_inject);
+        }, 10, Event::prio_inject, "test.event");
     }
     queue.run();
 
@@ -125,9 +125,11 @@ TEST(EventQueueDeterminismTest, MixedLambdaAndDerivedEventsInterleave)
     std::vector<std::string> journal;
 
     JournalEvent derived(journal, "derived", Event::prio_default);
-    queue.schedule([&journal]() { journal.push_back("lambda-1"); }, 20);
+    queue.schedule([&journal]() { journal.push_back("lambda-1"); }, 20,
+                   Event::prio_default, "test.event");
     queue.schedule(&derived, 20);
-    queue.schedule([&journal]() { journal.push_back("lambda-2"); }, 20);
+    queue.schedule([&journal]() { journal.push_back("lambda-2"); }, 20,
+                   Event::prio_default, "test.event");
     queue.run();
 
     EXPECT_EQ(journal, (std::vector<std::string>{"lambda-1", "derived",

@@ -63,7 +63,7 @@ TEST(EventQueueObserver, NoObserverMeansNoDispatch)
     EXPECT_EQ(queue.observer(), nullptr);
 
     int ran = 0;
-    queue.schedule([&ran]() { ++ran; }, 10);
+    queue.schedule([&ran]() { ++ran; }, 10, Event::prio_default, "test.event");
     queue.run();
     EXPECT_EQ(ran, 1);
     // Still nothing attached after running - the fast path is the
@@ -96,7 +96,7 @@ TEST(EventQueueObserver, TwoObserversBothDispatched)
     queue.addObserver(&a);
     queue.addObserver(&b);
 
-    queue.schedule([]() {}, 5);
+    queue.schedule([]() {}, 5, Event::prio_default, "test.event");
     queue.run();
     EXPECT_EQ(a.begins, 1);
     EXPECT_EQ(b.begins, 1);
@@ -109,13 +109,13 @@ TEST(EventQueueObserver, RemoveRestoresFastPath)
     EventQueue queue;
     CountingObserver obs;
     queue.addObserver(&obs);
-    queue.schedule([]() {}, 1);
+    queue.schedule([]() {}, 1, Event::prio_default, "test.event");
     queue.run();
     EXPECT_EQ(obs.begins, 1);
 
     queue.removeObserver(&obs);
     EXPECT_FALSE(queue.observed());
-    queue.schedule([]() {}, 2);
+    queue.schedule([]() {}, 2, Event::prio_default, "test.event");
     queue.run();
     // No hooks after detach: the count is frozen.
     EXPECT_EQ(obs.begins, 1);
@@ -128,7 +128,7 @@ TEST(EventQueueObserver, LegacySetObserverReplacesList)
     CountingObserver a, b;
     queue.addObserver(&a);
     queue.setObserver(&b); // replaces, not appends
-    queue.schedule([]() {}, 1);
+    queue.schedule([]() {}, 1, Event::prio_default, "test.event");
     queue.run();
     EXPECT_EQ(a.begins, 0);
     EXPECT_EQ(b.begins, 1);
@@ -180,9 +180,9 @@ TEST(EventQueueObserver, OperationCountersTrackQueueChurn)
     EXPECT_EQ(queue.staleDrops(), 0u);
     EXPECT_EQ(queue.peakDepth(), 0u);
 
-    queue.schedule([]() {}, 10);
-    queue.schedule([]() {}, 20);
-    queue.schedule([]() {}, 30);
+    queue.schedule([]() {}, 10, Event::prio_default, "test.event");
+    queue.schedule([]() {}, 20, Event::prio_default, "test.event");
+    queue.schedule([]() {}, 30, Event::prio_default, "test.event");
     EXPECT_EQ(queue.eventsScheduled(), 3u);
     EXPECT_EQ(queue.peakDepth(), 3u);
 
@@ -215,11 +215,11 @@ TEST(EventQueueObserver, LabeledLambdaEventsReportTheirLabel)
     CountingObserver obs;
     queue.addObserver(&obs);
     queue.scheduleIn([]() {}, 5, Event::prio_default, "my.label");
-    queue.scheduleIn([]() {}, 6); // default label
+    queue.scheduleIn([]() {}, 6, Event::prio_default, "other.label");
     queue.run();
     ASSERT_EQ(obs.labels.size(), 2u);
     EXPECT_EQ(obs.labels[0], "my.label");
-    EXPECT_EQ(obs.labels[1], "lambda event");
+    EXPECT_EQ(obs.labels[1], "other.label");
 }
 
 } // namespace

@@ -81,8 +81,9 @@ TEST(EventQueueTest, LambdaEventsRun)
 {
     EventQueue queue;
     int count = 0;
-    queue.schedule([&]() { ++count; }, 10);
-    queue.scheduleIn([&]() { ++count; }, 20);
+    queue.schedule([&]() { ++count; }, 10, Event::prio_default, "test.event");
+    queue.scheduleIn([&]() { ++count; }, 20,
+                     Event::prio_default, "test.event");
     queue.run();
     EXPECT_EQ(count, 2);
     EXPECT_EQ(queue.now(), 20u);
@@ -95,9 +96,9 @@ TEST(EventQueueTest, EventsScheduleMoreEvents)
     std::function<void()> chain = [&]() {
         ticks.push_back(queue.now());
         if (ticks.size() < 5)
-            queue.scheduleIn(chain, 10);
+            queue.scheduleIn(chain, 10, Event::prio_default, "test.event");
     };
-    queue.schedule(chain, 0);
+    queue.schedule(chain, 0, Event::prio_default, "test.event");
     queue.run();
     EXPECT_EQ(ticks, (std::vector<Tick>{0, 10, 20, 30, 40}));
 }
@@ -181,7 +182,7 @@ TEST(EventQueueTest, SchedulingInThePastPanics)
     EventQueue queue;
     std::vector<int> log;
     RecordingEvent a(log, 1);
-    queue.schedule([]() {}, 100);
+    queue.schedule([]() {}, 100, Event::prio_default, "test.event");
     queue.run();
     EXPECT_THROW(queue.schedule(&a, 50), common::SimError);
 }
@@ -201,7 +202,8 @@ TEST(EventQueueTest, ManyLambdasGarbageCollected)
     std::uint64_t count = 0;
     for (int i = 0; i < 20000; ++i)
         queue.schedule([&count]() { ++count; },
-                       static_cast<Tick>(i));
+                       static_cast<Tick>(i),
+                       Event::prio_default, "test.event");
     queue.run();
     EXPECT_EQ(count, 20000u);
     EXPECT_EQ(queue.eventsProcessed(), 20000u);
@@ -218,7 +220,8 @@ TEST(EventQueueTest, RunCompletionReclaimsOwnedLambdas)
     for (int cycle = 0; cycle < 200; ++cycle) {
         for (int i = 0; i < 100; ++i)
             queue.scheduleIn([&count]() { ++count; },
-                             static_cast<Tick>(i + 1));
+                             static_cast<Tick>(i + 1),
+                             Event::prio_default, "test.event");
         queue.run();
         EXPECT_EQ(queue.ownedPending(), 0u)
             << "ownership records leaked after cycle " << cycle;
@@ -232,8 +235,8 @@ TEST(EventQueueTest, RunWithLimitKeepsPendingOwnedLambdas)
     // scheduled past the run limit.
     EventQueue queue;
     int count = 0;
-    queue.schedule([&]() { ++count; }, 10);
-    queue.schedule([&]() { ++count; }, 100);
+    queue.schedule([&]() { ++count; }, 10, Event::prio_default, "test.event");
+    queue.schedule([&]() { ++count; }, 100, Event::prio_default, "test.event");
     queue.run(50);
     EXPECT_EQ(count, 1);
     EXPECT_EQ(queue.ownedPending(), 1u);

@@ -260,7 +260,8 @@ TEST(EgressPortTest, TimeoutReArmsWhilePushesContinue)
                 port.issueStore(
                     icn::Store(0x1000 + i * 8, 8, 0, 1));
             },
-            static_cast<Tick>(i) * 400);
+            static_cast<Tick>(i) * 400, common::Event::prio_default,
+            "test.event");
     }
     queue.run(2000);
     EXPECT_TRUE(arrived.empty()); // never idle long enough

@@ -148,7 +148,7 @@ TEST(FlowControlTest, SlowEndpointBackpressuresThroughSwitch)
             [&fabric, msg]() {
                 fabric.releaseEndpointCredits(1, msg->wireBytes());
             },
-            10000);
+            10000, common::Event::prio_default, "test.event");
     });
 
     for (int i = 0; i < 6; ++i)

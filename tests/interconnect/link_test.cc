@@ -87,7 +87,8 @@ TEST(LinkTest, IdleGapsDoNotAccumulate)
     link.send(makeMessage(10, 0));
     queue.run();
     // Inject a second message later, after the link went idle.
-    queue.schedule([&]() { link.send(makeMessage(10, 0)); }, 1000);
+    queue.schedule([&]() { link.send(makeMessage(10, 0)); }, 1000,
+                   common::Event::prio_default, "test.event");
     queue.run();
     ASSERT_EQ(arrivals.size(), 2u);
     EXPECT_EQ(arrivals[1], 1010u);

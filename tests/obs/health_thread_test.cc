@@ -206,6 +206,6 @@ TEST(HealthMonitorThread, WatchdogThreadEmitsParsableHeartbeats)
     EXPECT_EQ(doc.at("schema_version").number, 1.0);
     EXPECT_EQ(doc.at("events").number, 1.0);
     EXPECT_EQ(doc.at("queue").at("processed").number, 1.0);
-    EXPECT_TRUE(doc.has("alloc"));
+    EXPECT_FALSE(doc.has("alloc")); // counted by alloc_budget_test
     EXPECT_TRUE(doc.has("rss_hwm_kb"));
 }

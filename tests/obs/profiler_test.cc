@@ -2,7 +2,7 @@
  * @file
  * obs::Profiler unit tests: label attribution, scope nesting and
  * self-time, the JSON schema of the `host` stats section, trace
- * emission, allocation-counter gating, and aggregate reset.
+ * emission, and aggregate reset.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/alloc_counters.hh"
 #include "common/event_queue.hh"
 #include "common/json.hh"
 #include "obs/profiler.hh"
@@ -20,7 +19,6 @@
 
 namespace {
 
-using fp::common::AllocCounters;
 using fp::common::Event;
 using fp::common::EventQueue;
 using fp::common::JsonWriter;
@@ -176,8 +174,9 @@ TEST(Profiler, DumpJsonMatchesSchemaAndAccessors)
     EXPECT_EQ(doc.at("queue").at("pops").number, 1.0);
     EXPECT_EQ(doc.at("queue").at("stale_drops").number, 0.0);
     EXPECT_GE(doc.at("queue").at("peak_depth").number, 1.0);
-    EXPECT_TRUE(doc.at("alloc").has("lambda_events"));
-    EXPECT_TRUE(doc.at("alloc").has("wire_messages"));
+    // Allocation counts come from the allocator (alloc_budget_test),
+    // not from the profiler.
+    EXPECT_FALSE(doc.has("alloc"));
 
     const auto &hotspots = doc.at("hotspots");
     ASSERT_TRUE(hotspots.isArray());
@@ -226,26 +225,6 @@ TEST(Profiler, EmitTraceRendersScopeSlicesUnderHostPid)
     EXPECT_TRUE(saw_host_pid);
 }
 
-TEST(Profiler, AllocCountersOnlyCountWhileAProfilerIsActive)
-{
-    EventQueue queue;
-    // Nobody profiling: the counting branch stays cold.
-    ASSERT_EQ(AllocCounters::active.load(), 0);
-    auto lambda_before = AllocCounters::lambda_events.load();
-    queue.schedule([] {}, 1);
-    EXPECT_EQ(AllocCounters::lambda_events.load(), lambda_before);
-    queue.run();
-
-    Profiler profiler;
-    profiler.beginRun(&queue);
-    queue.schedule([] {}, 10);
-    queue.schedule([] {}, 11);
-    queue.run();
-    profiler.endRun();
-    EXPECT_EQ(profiler.lambdaEventAllocs(), 2u);
-    EXPECT_EQ(AllocCounters::active.load(), 0);
-}
-
 TEST(Profiler, AggregatesAccumulateAcrossRunsAndResetClears)
 {
     Profiler profiler;
@@ -268,7 +247,6 @@ TEST(Profiler, AggregatesAccumulateAcrossRunsAndResetClears)
     EXPECT_EQ(profiler.events(), 0u);
     EXPECT_EQ(profiler.wallNs(), 0u);
     EXPECT_EQ(profiler.queuePushes(), 0u);
-    EXPECT_EQ(profiler.lambdaEventAllocs(), 0u);
     EXPECT_TRUE(profiler.hotspots().empty());
     EXPECT_EQ(profiler.sliceCount(), 0u);
     EXPECT_EQ(profiler.eventsPerSec(), 0.0);

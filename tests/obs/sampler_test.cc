@@ -29,7 +29,7 @@ TEST(SamplerTest, PumpWithoutTracksJustDrainsTheQueue)
     PeriodicSampler sampler(100);
     EventQueue queue;
     int fired = 0;
-    queue.schedule([&]() { ++fired; }, 250);
+    queue.schedule([&]() { ++fired; }, 250, Event::prio_default, "test.event");
     sampler.pump(queue);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(queue.now(), 250u);
@@ -46,8 +46,10 @@ TEST(SamplerTest, SamplesAtEveryBoundaryUpToTheLastEvent)
     sampler.addTrack("gauge", [&]() { return gauge; });
 
     // The gauge steps to 1 at tick 150 and to 2 at tick 350.
-    queue.schedule([&]() { gauge = 1.0; }, 150);
-    queue.schedule([&]() { gauge = 2.0; }, 350);
+    queue.schedule([&]() { gauge = 1.0; }, 150,
+                   Event::prio_default, "test.event");
+    queue.schedule([&]() { gauge = 2.0; }, 350,
+                   Event::prio_default, "test.event");
     sampler.pump(queue);
 
     ASSERT_EQ(sampler.series().size(), 1u);
@@ -75,10 +77,12 @@ TEST(SamplerTest, RepeatedPumpsContinueOneSeries)
     double gauge = 0.0;
     sampler.addTrack("gauge", [&]() { return gauge; });
 
-    queue.schedule([&]() { gauge = 5.0; }, 120);
+    queue.schedule([&]() { gauge = 5.0; }, 120,
+                   Event::prio_default, "test.event");
     sampler.pump(queue);
     // Second driver iteration: more events on the same queue.
-    queue.schedule([&]() { gauge = 9.0; }, 320);
+    queue.schedule([&]() { gauge = 9.0; }, 320,
+                   Event::prio_default, "test.event");
     sampler.pump(queue);
 
     const auto &s = sampler.series()[0];
@@ -117,7 +121,7 @@ TEST(SamplerTest, MirrorsSamplesIntoTraceCounters)
     sampler.addTrack("gpu0.rwq.entries[1]", []() { return 3.0; });
 
     EventQueue queue;
-    queue.schedule([]() {}, 100);
+    queue.schedule([]() {}, 100, Event::prio_default, "test.event");
     sampler.pump(queue);
 
     std::ostringstream os;
@@ -161,7 +165,7 @@ TEST(SamplerTest, IdenticalRunsProduceIdenticalSeries)
         for (Tick t = 37; t < 1000; t += 91)
             queue.schedule([&load, t]() {
                 load = static_cast<double>(t % 13);
-            }, t);
+            }, t, Event::prio_default, "test.event");
         sampler.pump(queue);
         sampler.endRun();
     };

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end check of fptrace's --pcie flag and generate's numeric flags.
+"""End-to-end check of fptrace's flag validation.
 
 replay, profile and racecheck accept exactly --pcie 3|4|5|6. Any other
 value must exit 2 (the usage code in the exit-code legend) with usage
@@ -10,6 +10,10 @@ generate accepts --scale, --gpus and --seed only as one whole number in
 range. A bad value must exit 2 with usage text instead of dying on a
 signal, aborting, or running with a silent default; valid edge values
 must generate a trace.
+
+The numeric flags of replay, profile and racecheck follow the same
+rule, and any flag that takes a value exits 2 with usage text when it
+is the last word on the command line.
 
 Usage: pcie_flag_smoke.py <fptrace-binary>
 
@@ -48,6 +52,32 @@ GENERATE_CASES = [
     ("--scale", "1e-6", 0),
     ("--seed", "0", 0),
     ("--seed", "18446744073709551615", 0),
+]
+
+# (command, flags, expected exit code) run against the tiny trace.
+COMMAND_CASES = [
+    ("replay", ["--sample-ns"], 2),
+    ("replay", ["--paradigm"], 2),
+    ("replay", ["--sample-ns", "abc"], 2),
+    ("replay", ["--sample-ns", "0"], 2),
+    ("replay", ["--fabric-window-ns", "1e3"], 2),
+    ("replay", ["--fabric-window-ns", "86400000000001"], 2),
+    ("replay", ["--heartbeat-ns", "abc"], 2),
+    ("replay", ["--stall-ns", "-1"], 2),
+    ("replay", ["--wedge-ms", "86400001"], 2),
+    ("replay", ["--wedge-ms"], 2),
+    ("profile", ["--reps", "abc"], 2),
+    ("profile", ["--reps", "-3"], 2),
+    ("profile", ["--reps", "0"], 2),
+    ("profile", ["--top", "x"], 2),
+    ("profile", ["--json"], 2),
+    ("racecheck", ["--seeds", "0"], 2),
+    ("racecheck", ["--seeds", "4x"], 2),
+    ("racecheck", ["--waive"], 2),
+    ("replay", ["--sample-ns", "1",
+                "--fabric-window-ns", "86400000000000"], 0),
+    ("profile", ["--reps", "1", "--top", "0"], 0),
+    ("racecheck", ["--seeds", "1", "--stall-ns", "0"], 0),
 ]
 
 
@@ -90,6 +120,17 @@ def main():
                      % (case, result.stderr))
             if expected == 0 and os.path.getsize(out) == 0:
                 fail("%s wrote an empty trace" % case)
+
+        for command, flags, expected in COMMAND_CASES:
+            result = run([fptrace, command, trace] + flags)
+            case = "%s %s" % (command, " ".join(flags))
+            if result.returncode != expected:
+                fail("%s exited %d, expected %d\n%s%s"
+                     % (case, result.returncode, expected,
+                        result.stdout, result.stderr))
+            if expected == 2 and "usage:" not in result.stderr:
+                fail("%s printed no usage text:\n%s"
+                     % (case, result.stderr))
 
         for command in ("replay", "profile", "racecheck"):
             for bad in ("9", "abc"):

@@ -2,9 +2,10 @@
  * @file
  * Every probe at once must still be a pure observer. A checked
  * finepack run with the whole obs::Probes bundle attached -- tracer at
- * full detail, latency and flow collectors, flight recorder -- must
- * produce the same RunResult, oracle digest and stats document as the
- * checked run with no probe. It is also the run that puts the protocol
+ * full detail, latency and flow collectors, flight recorder -- plus a
+ * check::RaceDetector on the event queue must produce the same
+ * RunResult, oracle digest and stats document as the checked run with
+ * no probe. It is also the run that puts the protocol
  * oracle and the tracer on the same RWQ and packetizer observer lists,
  * so both must see every packet.
  */
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "check/race_detector.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/flow.hh"
 #include "obs/latency.hh"
@@ -39,13 +41,18 @@ smallTrace(const std::string &name)
     return TraceCache::instance().get(name, params);
 }
 
-/** Every collector the driver hands to components as obs::Probes. */
+/**
+ * Every collector the driver hands to components as obs::Probes, plus
+ * the one queue observer that turns on the components' access
+ * declarations.
+ */
 struct AllProbes
 {
     obs::TraceSink tracer{obs::TraceDetail::full};
     obs::LatencyCollector latency;
     obs::FlowCollector flows;
     obs::FlightRecorder recorder;
+    check::RaceDetector race;
 };
 
 /** One checked run; @p probes null runs with none attached. */
@@ -66,6 +73,7 @@ struct CheckedRun
             config.latency = &probes->latency;
             config.flows = &probes->flows;
             config.recorder = &probes->recorder;
+            config.queue_observer = &probes->race;
         }
         result = SimulationDriver(config).run(trace, Paradigm::finepack);
     }
@@ -146,6 +154,9 @@ TEST(ProbesDigest, FullyProbedCheckedRunIsBitIdenticalToPlainRun)
     EXPECT_GT(probes.recorder.kindCount(obs::FlightKind::rwq_flush), 0u);
     EXPECT_GT(probes.recorder.kindCount(obs::FlightKind::fabric_inject),
               0u);
+    probes.race.finish();
+    EXPECT_EQ(probes.race.eventsObserved(), plain.result.events_processed);
+    EXPECT_GT(probes.race.accessesRecorded(), 0u);
     // The oracle and the tracer share the packetizer's observer list:
     // each saw every packet.
     EXPECT_EQ(probed.result.oracle_transactions,

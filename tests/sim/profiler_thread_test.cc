@@ -4,8 +4,7 @@
  * carries its own obs::Profiler (observability sinks are per-job by
  * contract), so host profiling must neither perturb parallel results
  * nor tangle attribution across lanes. Runs under TSan via the
- * threadsafe ctest label - the only cross-thread profiler state is
- * common::AllocCounters, which is atomic and documented as coarse.
+ * threadsafe ctest label; profilers share no state across lanes.
  */
 
 #include <gtest/gtest.h>

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Shared C++ lexing layer for the repo's static-analysis tools.
+"""C++ lexing layer for fp_lint.py, the determinism lint.
 
-fp_lint.py (line-oriented determinism/thread-safety lint) and
-fp_hotpath.py (function-scope hot-path analyzer) both need the same
-ground truth about C++ source text: what is code versus what is a
-comment, a string literal, a char literal, a raw string, or a
-preprocessor line. Regexes per line get this wrong in well-known ways
-(multi-line /* */ blocks, R"(...)"s spanning lines, '"' inside char
-literals), so the partitioning lives here, once, as a small character
+The lint needs ground truth about C++ source text: what is code versus
+what is a comment, a string literal, a char literal, a raw string, or
+a preprocessor line. Regexes per line get this wrong in well-known
+ways (multi-line /* */ blocks, R"(...)"s spanning lines, '"' inside
+char literals), so the partitioning lives here as a small character
 scanner with no dependencies.
 
-Three views of a translation unit are exported:
+Two views of a translation unit are exported:
 
   scrub(text)            -> list of lines, same count and column layout
                             as the input, with comments blanked, string
@@ -20,27 +18,15 @@ Three views of a translation unit are exported:
                             `// fp-lint:` marker comments survive
                             verbatim (the waiver idiom lives in
                             comments by design).
-  lex(text)              -> flat token list [(kind, text, line), ...]
-                            with kind in {ident, number, string, char,
-                            punct}. Comments and preprocessor lines are
-                            not tokens; "::"/"->" and the common
-                            multi-char operators come out as single
-                            punct tokens.
   project_includes(text) -> the quoted (project-local) include paths in
                             order, for folding declarations across a
                             translation-unit pair.
 
 The scanner is deliberately not a preprocessor: macros are not
-expanded, so consumers see FP_HOT / FP_GUARDED_BY and friends as plain
-identifier tokens - which is exactly what annotation-driven rules
-want.
+expanded, so the lint sees FP_GUARDED_BY and friends as written.
 """
 
-import bisect
-import collections
 import re
-
-Token = collections.namedtuple("Token", ("kind", "text", "line"))
 
 # Region kinds produced by _regions().
 CODE = "code"
@@ -49,17 +35,6 @@ BLOCK_COMMENT = "block_comment"
 STRING = "string"
 CHAR = "char"
 PP = "pp"
-
-# Multi-char operators that change how consumers read the stream
-# ("::" for qualified names, "->" for member access / trailing return).
-_TOKEN = re.compile(
-    r"[A-Za-z_]\w*"          # identifier / keyword / macro name
-    r"|\.\d[\w.+\-']*"       # .5f style literal
-    r"|\d[\w.']*(?:[eEpP][+-]\d+)?[\w.']*"  # numeric literal
-    r"|::|->|\+\+|--|<<=|>>=|<=>|<<|>>|<=|>=|==|!=|&&|\|\|"
-    r"|\+=|-=|\*=|/=|%=|&=|\|=|\^=|\.\.\."
-    r"|."                    # any other single char
-)
 
 _RAW_PREFIXES = ("R", "uR", "UR", "LR", "u8R")
 _ENC_PREFIXES = ("u8", "u", "U", "L")
@@ -211,40 +186,6 @@ def scrub(text):
         else:
             blank(start, end)
     return "".join(chars).split("\n")
-
-
-def lex(text):
-    """Tokenize `text` into a flat list of Token(kind, text, line)."""
-    line_starts = [0]
-    for idx, ch in enumerate(text):
-        if ch == "\n":
-            line_starts.append(idx + 1)
-
-    def line_of(pos):
-        return bisect.bisect_right(line_starts, pos)
-
-    tokens = []
-    for kind, start, end in _regions(text):
-        if kind == STRING:
-            tokens.append(Token("string", '""', line_of(start)))
-        elif kind == CHAR:
-            tokens.append(Token("char", "''", line_of(start)))
-        elif kind == CODE:
-            for m in _TOKEN.finditer(text, start, end):
-                tok = m.group(0)
-                if tok.isspace():
-                    continue
-                if tok[0].isalpha() or tok[0] == "_":
-                    tok_kind = "ident"
-                elif tok[0].isdigit() or (tok[0] == "."
-                                          and len(tok) > 1
-                                          and tok[1].isdigit()):
-                    tok_kind = "number"
-                else:
-                    tok_kind = "punct"
-                tokens.append(Token(tok_kind, tok, line_of(m.start())))
-        # comments and preprocessor lines produce no tokens
-    return tokens
 
 
 _INCLUDE = re.compile(r'#\s*include\s*"([^"]+)"')

@@ -56,9 +56,7 @@ line, or place it on the line directly above. Waivers without a reason
 are themselves errors.
 
 Lexing (comment/string/raw-string/preprocessor partitioning) is
-delegated to the shared tools/fp_cpplex.py scanner, the same ground
-truth tools/fp_hotpath.py parses with, so the two analyzers can never
-disagree about what is code.
+delegated to the tools/fp_cpplex.py scanner.
 
 Usage: tools/fp_lint.py [--root DIR] [PATH...]
 Exits 1 when any unwaived finding remains.

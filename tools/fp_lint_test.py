@@ -240,6 +240,27 @@ class LexerNoiseTest(LintCase):
         self.assertEqual(found, [("unseeded-rng", 1)])
 
 
+class CpplexTest(unittest.TestCase):
+    """The fp_cpplex views the lint is built on."""
+
+    def test_scrub_preserves_line_count_and_waivers(self):
+        text = ("int a; /* multi\n"
+                "line */ int b;\n"
+                "// fp-lint: allow(wall-clock) reason\n"
+                '// ordinary comment\n')
+        lines = fp_lint.fp_cpplex.scrub(text)
+        self.assertEqual(len(lines), text.count("\n") + 1)
+        self.assertIn("fp-lint: allow(wall-clock)", lines[2])
+        self.assertNotIn("ordinary", lines[3])
+
+    def test_project_includes(self):
+        text = ('#include "common/types.hh"\n'
+                "#include <vector>\n"
+                '#  include "gpu/port.hh"\n')
+        self.assertEqual(fp_lint.fp_cpplex.project_includes(text),
+                         ["common/types.hh", "gpu/port.hh"])
+
+
 class RawConcurrencyTest(LintCase):
     def test_primitives_and_detach_flagged(self):
         found = self.lint("a.cc", (

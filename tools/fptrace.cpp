@@ -37,10 +37,9 @@
  *       Host-side self-profiling (docs/profiling.md): replay the trace
  *       N times with obs::Profiler attached and report where the
  *       *simulator's* wall-clock time goes - top-N event-label
- *       hotspots, events/sec throughput, event-queue operation
- *       counters, and allocation counts on the hot paths. --json
- *       writes the machine-readable profile document (provenance +
- *       host section).
+ *       hotspots, events/sec throughput, and event-queue operation
+ *       counters. --json writes the machine-readable profile document
+ *       (provenance + host section).
  *   racecheck <trace.fpt> [--paradigm P] [--pcie GEN] [--seeds N]
  *             [--report FILE] [--waive GLOB] [--no-default-waivers]
  *       Determinism analysis (docs/determinism.md). Statically: replay
@@ -52,6 +51,10 @@
  *       unwaived conflict or digest mismatch.
  *   list
  *       List the available workloads.
+ *
+ * Every numeric flag takes one whole number in the range usage() prints,
+ * and a flag that takes a value cannot be the last word; anything else
+ * exits 2 with usage text.
  */
 
 #include <algorithm>
@@ -122,6 +125,13 @@ usage()
            "  [--flight-recorder[=N]] [--heartbeat-ns N]"
            " [--heartbeat-out FILE]\n"
            "  [--stall-ns N] [--postmortem-out FILE] [--wedge-ms N]\n"
+           "numeric flags take one whole number (ns and ms up to one"
+           " day):\n"
+           "  --sample-ns, --fabric-window-ns >= 1; --heartbeat-ns,"
+           " --stall-ns,\n"
+           "  --wedge-ms >= 0; --reps, --seeds in [1, 10^6];"
+           " --top in [0, 10^6]\n"
+           "a flag given without its value exits 2\n"
            "exit codes: 0 ok, 1 fatal, 2 usage, 3 panic, 86 invariant,\n"
            "            130 interrupted (SIGINT), 143 terminated"
            " (SIGTERM)\n";
@@ -137,6 +147,36 @@ argValue(int argc, char **argv, const char *flag, const char *fallback)
     return fallback;
 }
 
+/** Upper bound of the nanosecond flags: one day. */
+constexpr std::uint64_t max_flag_ns = 86'400'000'000'000;
+/** Upper bound of --wedge-ms: one day. */
+constexpr std::uint32_t max_flag_ms = 86'400'000;
+/** Upper bound of --reps, --seeds and --top. */
+constexpr int max_flag_count = 1'000'000;
+
+/**
+ * True when the last word is a flag that takes a value (and so has
+ * none); prints why so the caller exits with usage().
+ */
+bool
+missingValue(int argc, char **argv)
+{
+    static const char *const value_flags[] = {
+        "--scale", "--gpus", "--seed", "--paradigm", "--pcie",
+        "--stats-json", "--trace-out", "--trace-detail", "--sample-ns",
+        "--json", "--fabric-window-ns", "--reps", "--top", "--seeds",
+        "--report", "--waive", "--heartbeat-ns", "--heartbeat-out",
+        "--stall-ns", "--postmortem-out", "--wedge-ms",
+    };
+    for (const char *flag : value_flags) {
+        if (std::strcmp(argv[argc - 1], flag) == 0) {
+            std::cerr << "fptrace: " << flag << " needs a value\n";
+            return true;
+        }
+    }
+    return false;
+}
+
 bool
 hasFlag(int argc, char **argv, const char *flag)
 {
@@ -147,27 +187,58 @@ hasFlag(int argc, char **argv, const char *flag)
 }
 
 /**
+ * The numeric flag @p flag (default @p fallback). Accepts only a whole
+ * token that parses as a T in [lo, hi]: no sign on unsigned flags, no
+ * trailing characters, no nan or inf. Anything else prints why and
+ * returns false so the caller exits with usage().
+ */
+template <typename T>
+bool
+parseNumber(int argc, char **argv, const char *flag, const char *fallback,
+            T lo, T hi, T &value)
+{
+    const std::string text = argValue(argc, argv, flag, fallback);
+    const char *end = text.data() + text.size();
+    T parsed{};
+    auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error == std::errc() && stop == end && parsed >= lo &&
+        parsed <= hi) {
+        value = parsed;
+        return true;
+    }
+    std::cerr << "fptrace: " << flag << " must be a number in [" << lo
+              << ", " << hi << "], not '" << text << "'\n";
+    return false;
+}
+
+/**
  * Run-health wiring shared by replay / profile / racecheck
- * (docs/run_health.md): parses --flight-recorder[=N], --heartbeat-ns,
- * --heartbeat-out, --stall-ns, --postmortem-out and --wedge-ms,
- * installs the fatal signal handlers plus the logging failure hook
- * (panic / FP_INVARIANT trip / oracle mismatch all flush the same
- * `kind:"postmortem"` document), and owns the flight recorder and
- * stall watchdog for the duration of the command.
+ * (docs/run_health.md): parse() reads --flight-recorder[=N],
+ * --heartbeat-ns, --heartbeat-out, --stall-ns, --postmortem-out and
+ * --wedge-ms; start() installs the fatal signal handlers plus the
+ * logging failure hook (panic / FP_INVARIANT trip / oracle mismatch
+ * all flush the same `kind:"postmortem"` document). The object owns
+ * the flight recorder and stall watchdog for the duration of the
+ * command.
  */
 struct RunHealth
 {
     std::unique_ptr<obs::FlightRecorder> recorder;
     std::unique_ptr<obs::HealthMonitor> monitor;
+    std::size_t ring = 0;
+    std::uint64_t heartbeat_ns = 0;
+    const char *heartbeat_out = "";
+    std::uint64_t stall_ns = 0;
+    const char *postmortem_out = "";
     std::uint32_t wedge_ms = 0;
 
-    RunHealth(int argc, char **argv)
+    /**
+     * Read the run-health flags. A bad number prints why and returns
+     * false so the caller exits with usage() before any work starts.
+     */
+    bool
+    parse(int argc, char **argv)
     {
-        // A fresh CLI invocation re-arms the cooperative flag (it
-        // deliberately survives across the runs inside one command).
-        common::interrupt::clear();
-
-        std::size_t ring = 0;
         for (int i = 0; i < argc; ++i) {
             if (std::strcmp(argv[i], "--flight-recorder") == 0) {
                 ring = obs::FlightRecorder::default_capacity;
@@ -178,14 +249,23 @@ struct RunHealth
                              : obs::FlightRecorder::default_capacity;
             }
         }
-        auto heartbeat_ns = static_cast<std::uint64_t>(
-            std::atoll(argValue(argc, argv, "--heartbeat-ns", "0")));
-        const char *heartbeat_out =
-            argValue(argc, argv, "--heartbeat-out", "");
-        auto stall_ns = static_cast<std::uint64_t>(
-            std::atoll(argValue(argc, argv, "--stall-ns", "0")));
-        wedge_ms = static_cast<std::uint32_t>(
-            std::atoi(argValue(argc, argv, "--wedge-ms", "0")));
+        heartbeat_out = argValue(argc, argv, "--heartbeat-out", "");
+        postmortem_out = argValue(argc, argv, "--postmortem-out", "");
+        return parseNumber(argc, argv, "--heartbeat-ns", "0",
+                           std::uint64_t{0}, max_flag_ns, heartbeat_ns) &&
+               parseNumber(argc, argv, "--stall-ns", "0", std::uint64_t{0},
+                           max_flag_ns, stall_ns) &&
+               parseNumber(argc, argv, "--wedge-ms", "0", std::uint32_t{0},
+                           max_flag_ms, wedge_ms);
+    }
+
+    /** Arm the handlers, the recorder and the watchdog parse() asked for. */
+    void
+    start()
+    {
+        // A fresh CLI invocation re-arms the cooperative flag (it
+        // deliberately survives across the runs inside one command).
+        common::interrupt::clear();
 
         // The watchdog needs a progress source, so asking for
         // heartbeats implies a (default-sized) recorder.
@@ -207,10 +287,8 @@ struct RunHealth
         std::string provenance_str = provenance.str();
         obs::fatal::Config fatal_config;
         fatal_config.recorder = recorder.get();
-        const char *postmortem =
-            argValue(argc, argv, "--postmortem-out", "");
         fatal_config.postmortem_path =
-            *postmortem != '\0' ? postmortem : nullptr;
+            *postmortem_out != '\0' ? postmortem_out : nullptr;
         fatal_config.provenance_json = provenance_str.c_str();
         obs::fatal::install(fatal_config);
         common::setFailureHook(
@@ -270,31 +348,6 @@ parsePcie(int argc, char **argv, icn::PcieGen &gen)
     }
     std::cerr << "fptrace: --pcie must be 3, 4, 5 or 6, not '" << value
               << "'\n";
-    return false;
-}
-
-/**
- * The numeric flag @p flag (default @p fallback). Accepts only a whole
- * token that parses as a T in [lo, hi]: no sign on unsigned flags, no
- * trailing characters, no nan or inf. Anything else prints why and
- * returns false so the caller exits with usage().
- */
-template <typename T>
-bool
-parseNumber(int argc, char **argv, const char *flag, const char *fallback,
-            T lo, T hi, T &value)
-{
-    const std::string text = argValue(argc, argv, flag, fallback);
-    const char *end = text.data() + text.size();
-    T parsed{};
-    auto [stop, error] = std::from_chars(text.data(), end, parsed);
-    if (error == std::errc() && stop == end && parsed >= lo &&
-        parsed <= hi) {
-        value = parsed;
-        return true;
-    }
-    std::cerr << "fptrace: " << flag << " must be a number in [" << lo
-              << ", " << hi << "], not '" << text << "'\n";
     return false;
 }
 
@@ -538,7 +591,15 @@ int
 cmdReplay(int argc, char **argv)
 {
     sim::SimConfig config;
-    if (argc < 3 || !parsePcie(argc, argv, config.pcie_gen))
+    Tick sample_ns = 0;
+    Tick fabric_window_ns = 0;
+    RunHealth health;
+    if (argc < 3 || !parsePcie(argc, argv, config.pcie_gen) ||
+        !parseNumber(argc, argv, "--sample-ns", "1000", Tick{1},
+                     max_flag_ns, sample_ns) ||
+        !parseNumber(argc, argv, "--fabric-window-ns", "1000", Tick{1},
+                     max_flag_ns, fabric_window_ns) ||
+        !health.parse(argc, argv))
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
 
@@ -555,15 +616,6 @@ cmdReplay(int argc, char **argv)
                               : detail_name == "off"
                                   ? obs::TraceDetail::off
                                   : obs::TraceDetail::flush;
-    auto sample_ns = static_cast<Tick>(
-        std::atoll(argValue(argc, argv, "--sample-ns", "1000")));
-    if (sample_ns == 0)
-        sample_ns = 1000;
-
-    auto fabric_window_ns = static_cast<Tick>(
-        std::atoll(argValue(argc, argv, "--fabric-window-ns", "1000")));
-    if (fabric_window_ns == 0)
-        fabric_window_ns = 1000;
     const char *fabric_json = argValue(argc, argv, "--json", "");
 
     obs::TraceSink tracer(detail);
@@ -590,7 +642,7 @@ cmdReplay(int argc, char **argv)
     if (fabric_report)
         config.flows = &flows;
 
-    RunHealth health(argc, argv);
+    health.start();
     health.configure(config);
 
     sim::SimulationDriver driver(config);
@@ -714,10 +766,7 @@ printProfileReport(const obs::Profiler &profiler, std::size_t top_n)
               << "queue:      " << profiler.queuePushes() << " pushes, "
               << profiler.queuePops() << " pops, "
               << profiler.queueStaleDrops() << " stale drops, peak depth "
-              << profiler.queuePeakDepth() << "\n"
-              << "alloc:      " << profiler.lambdaEventAllocs()
-              << " lambda events, " << profiler.wireMessageAllocs()
-              << " wire messages\n";
+              << profiler.queuePeakDepth() << "\n";
 
     common::Table table("top host-time consumers (self time)");
     table.setHeader({"label", "count", "self ms", "self %", "total ms",
@@ -745,20 +794,22 @@ int
 cmdProfile(int argc, char **argv)
 {
     sim::SimConfig config;
-    if (argc < 3 || !parsePcie(argc, argv, config.pcie_gen))
+    int reps = 0;
+    std::size_t top_n = 0;
+    RunHealth health;
+    if (argc < 3 || !parsePcie(argc, argv, config.pcie_gen) ||
+        !parseNumber(argc, argv, "--reps", "3", 1, max_flag_count, reps) ||
+        !parseNumber(argc, argv, "--top", "10", std::size_t{0},
+                     std::size_t{max_flag_count}, top_n) ||
+        !health.parse(argc, argv))
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
 
     sim::Paradigm paradigm =
         parseParadigm(argValue(argc, argv, "--paradigm", "finepack"));
-    int reps = std::atoi(argValue(argc, argv, "--reps", "3"));
-    if (reps < 1)
-        reps = 1;
-    auto top_n = static_cast<std::size_t>(
-        std::atoi(argValue(argc, argv, "--top", "10")));
     const char *json_path = argValue(argc, argv, "--json", "");
 
-    RunHealth health(argc, argv);
+    health.start();
     health.configure(config);
 
     obs::Profiler profiler;
@@ -884,18 +935,20 @@ int
 cmdRacecheck(int argc, char **argv)
 {
     icn::PcieGen pcie = icn::PcieGen::gen4;
-    if (argc < 3 || !parsePcie(argc, argv, pcie))
+    int seeds = 0;
+    RunHealth health;
+    if (argc < 3 || !parsePcie(argc, argv, pcie) ||
+        !parseNumber(argc, argv, "--seeds", "4", 1, max_flag_count,
+                     seeds) ||
+        !health.parse(argc, argv))
         return usage();
     trace::WorkloadTrace trace = loadTrace(argv[2]);
 
     sim::Paradigm paradigm =
         parseParadigm(argValue(argc, argv, "--paradigm", "finepack"));
-    int seeds = std::atoi(argValue(argc, argv, "--seeds", "4"));
-    if (seeds < 1)
-        seeds = 1;
     const char *report_path = argValue(argc, argv, "--report", "");
 
-    RunHealth health(argc, argv);
+    health.start();
 
     check::RaceDetector detector;
     if (!hasFlag(argc, argv, "--no-default-waivers")) {
@@ -1012,7 +1065,7 @@ cmdRacecheck(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
+    if (argc < 2 || missingValue(argc, argv))
         return usage();
     std::string command = argv[1];
     // Failures unwind here so the exit code is diagnostic

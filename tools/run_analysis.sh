@@ -2,8 +2,7 @@
 #
 # run_analysis.sh - the correctness-tooling gauntlet.
 #
-# Runs the source lints (tools/fp_lint.py + tools/fp_hotpath.py and
-# their self-tests), the Clang
+# Runs the source lint (tools/fp_lint.py and its self-tests), the Clang
 # thread-safety analysis build (-Werror=thread-safety over the
 # common/sync.h annotations, see docs/thread_safety.md), builds the
 # simulator under AddressSanitizer and UndefinedBehaviorSanitizer (with
@@ -55,12 +54,8 @@ run_sanitizer_stage() {
 bold "determinism + thread-safety lint (tools/fp_lint.py)"
 python3 tools/fp_lint.py --root "${repo_root}"
 
-bold "hot-path hygiene gate (tools/fp_hotpath.py)"
-python3 tools/fp_hotpath.py --root "${repo_root}"
-
-bold "lint self-tests (fp_lint_test.py + fp_hotpath_test.py)"
+bold "lint self-tests (fp_lint_test.py)"
 python3 tools/fp_lint_test.py
-python3 tools/fp_hotpath_test.py
 
 # Clang thread-safety analysis: the whole tree under
 # -Wthread-safety -Werror=thread-safety (the thread-safety preset sets
