@@ -82,11 +82,11 @@ BM_PacketizeFlush(benchmark::State &state)
         std::vector<finepack::FlushedPartition> sink;
         for (int i = 0; i < 48; ++i)
             partition.push(nextStore(rng, 64 * KiB), sink);
-        finepack::FlushedPartition flushed =
-            partition.flush(finepack::FlushReason::release);
+        sink.clear();
+        partition.flush(finepack::FlushReason::release, sink);
         state.ResumeTiming();
 
-        if (!flushed.empty()) {
+        for (const finepack::FlushedPartition &flushed : sink) {
             auto txn = packetizer.packetize(flushed);
             benchmark::DoNotOptimize(txn);
         }

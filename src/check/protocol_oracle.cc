@@ -72,8 +72,8 @@ ProtocolOracle::windowFlushed(const finepack::FlushedPartition &flushed,
     expected.packed_store_count = flushed.packed_store_count;
 
     for (const finepack::QueueEntry &entry : flushed.entries) {
-        for (std::uint32_t i = 0; i < entry.mask.size(); ++i) {
-            if (!entry.mask.test(i))
+        for (std::uint32_t i = 0; i < _config.entry_bytes; ++i) {
+            if (!entry.enabled(i))
                 continue;
             Addr addr = entry.line_addr + i;
             ShadowByte ref = pending.get(addr);
@@ -86,7 +86,7 @@ ProtocolOracle::windowFlushed(const finepack::FlushedPartition &flushed,
             // value of the last store that wrote this byte. Data-less
             // (timing-only) stores invalidate the reference value, so
             // only compare when both sides know it.
-            if (ref.has_value && entry.has_data &&
+            if (ref.has_value && entry.hasData() &&
                 entry.data[i] != ref.value) {
                 fp_panic("oracle: flush to GPU ", flushed.dst, " byte ",
                          addr, " has value ",
@@ -94,12 +94,12 @@ ProtocolOracle::windowFlushed(const finepack::FlushedPartition &flushed,
                          " but the last writer stored ",
                          static_cast<unsigned>(ref.value));
             }
-            if (ref.has_value && entry.has_data)
+            if (ref.has_value && entry.hasData())
                 ++_value_bytes_verified;
             ++_bytes_verified;
             pending.erase(addr);
             expected.image.write(addr, 1,
-                                 entry.has_data && ref.has_value
+                                 entry.hasData() && ref.has_value
                                      ? &entry.data[i]
                                      : nullptr);
         }

@@ -1,6 +1,5 @@
 #include "finepack/config.hh"
 
-#include "common/bitutil.hh"
 #include "common/logging.hh"
 
 namespace fp::finepack {
@@ -18,8 +17,6 @@ FinePackConfig::validate() const
         fp_fatal("max payload must be a non-zero DW multiple");
     if (queue_entries == 0)
         fp_fatal("queue must have at least one entry");
-    if (!common::isPowerOfTwo(entry_bytes))
-        fp_fatal("entry size must be a power of two");
     if (windows_per_partition == 0)
         fp_fatal("at least one window per partition is required");
     if (queue_entries % windows_per_partition != 0)
@@ -31,12 +28,8 @@ FinePackConfig::validate() const
 FinePackConfig
 defaultConfig()
 {
+    // The member defaults are Table III (5 B sub-header: 1 GiB window).
     FinePackConfig config;
-    config.subheader_bytes = 5; // 30-bit offset => 1 GiB window
-    config.length_bits = 10;
-    config.max_payload = 4096;
-    config.queue_entries = 64;
-    config.entry_bytes = 128;
     config.validate();
     return config;
 }

@@ -31,8 +31,11 @@ struct FinePackConfig
     std::uint32_t max_payload = 4096;
     /** Remote write queue entries per destination partition. */
     std::uint32_t queue_entries = 64;
-    /** Data bytes per remote write queue entry (one cache line). */
-    std::uint32_t entry_bytes = 128;
+    /**
+     * Data bytes per remote write queue entry: one 128 B cache line,
+     * whose byte enables are two 64-bit words (fixed by the hardware).
+     */
+    static constexpr std::uint32_t entry_bytes = 128;
     /**
      * Concurrently open outer transactions (base+offset windows) per
      * destination partition. The paper evaluates 1 and discusses

@@ -15,14 +15,14 @@ Packetizer::packetize(const FlushedPartition &flushed) const
                             _config);
     txn.reserve(flushed.entries.size());
     for (const QueueEntry &entry : flushed.entries) {
-        for (const auto &[start, len] : entry.runs()) {
+        entry.forEachRun([&](std::uint32_t start, std::uint32_t len) {
             std::vector<std::uint8_t> data;
-            if (entry.has_data) {
+            if (entry.hasData()) {
                 data.assign(entry.data.begin() + start,
                             entry.data.begin() + start + len);
             }
             txn.append(entry.line_addr + start, len, std::move(data));
-        }
+        });
     }
 
     // Byte conservation across packetization: every enabled byte of
@@ -98,14 +98,6 @@ Packetizer::toMessage(const FlushedPartition &flushed,
     for (PacketizerObserver *observer : _observers)
         observer->packetEmitted(txn, *msg);
     return msg;
-}
-
-std::vector<icn::Store>
-DePacketizer::unpack(const FinePackTransaction &txn) const
-{
-    std::vector<icn::Store> stores = txn.unpack();
-    _stores_unpacked += stores.size();
-    return stores;
 }
 
 } // namespace fp::finepack

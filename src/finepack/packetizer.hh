@@ -1,12 +1,13 @@
 /**
  * @file
- * The FinePack packetizer and de-packetizer (paper Section IV-B).
+ * The FinePack packetizer (paper Section IV-B).
  *
  * The packetizer converts a flushed remote-write-queue partition into one
  * FinePack outer transaction: every contiguous byte-enable run of every
  * entry becomes a sub-packet (sub-headers carry no byte enables, so
- * non-contiguous bytes must split). The de-packetizer re-expands a
- * transaction into plain stores for the destination memory system.
+ * non-contiguous bytes must split). The receiver's de-packetizer step,
+ * FinePackTransaction::unpack(), re-expands the transaction into plain
+ * stores; toMessage() runs it so the wire message carries them.
  */
 
 #ifndef FP_FINEPACK_PACKETIZER_HH
@@ -124,35 +125,6 @@ class Packetizer
     mutable std::uint64_t _wc_alone_bytes = 0;
     mutable std::uint64_t _wc_line_bytes = 0;
     mutable std::uint64_t _uncompressed_bytes = 0;
-};
-
-/**
- * The destination-side de-packetizer. Purely functional unpacking plus a
- * model of the 64 x 128 B ingress buffer: the buffer drains into the L2
- * at a fixed rate, so a full buffer back-pressures (reported as a stall
- * tick count the ingress port can apply).
- */
-class DePacketizer
-{
-  public:
-    explicit DePacketizer(const FinePackConfig &config) : _config(config) {}
-
-    /** Disaggregate a transaction into individual stores. */
-    std::vector<icn::Store>
-    unpack(const FinePackTransaction &txn) const;
-
-    /** Buffer capacity in bytes (64 entries x 128 B). */
-    std::uint64_t
-    bufferBytes() const
-    {
-        return std::uint64_t{64} * _config.entry_bytes;
-    }
-
-    std::uint64_t storesUnpacked() const { return _stores_unpacked; }
-
-  private:
-    FinePackConfig _config;
-    mutable std::uint64_t _stores_unpacked = 0;
 };
 
 } // namespace fp::finepack

@@ -1,6 +1,7 @@
 #include "finepack/remote_write_queue.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "check/invariant.hh"
 #include "common/bitutil.hh"
@@ -22,58 +23,81 @@ toString(FlushReason reason)
     return "?";
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-QueueEntry::runs() const
+namespace {
+
+/** The bits of enable word @p word that cover line bytes [begin, end). */
+std::uint64_t
+wordBits(std::uint32_t word, std::uint32_t begin, std::uint32_t end)
 {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> result;
-    std::uint32_t i = 0;
-    const auto line = static_cast<std::uint32_t>(mask.size());
-    while (i < line) {
-        if (!mask.test(i)) {
-            ++i;
-            continue;
-        }
-        std::uint32_t start = i;
-        while (i < line && mask.test(i))
-            ++i;
-        result.emplace_back(start, i - start);
-    }
-    return result;
+    const std::uint32_t base = word * 64;
+    const std::uint32_t lo = std::clamp(begin, base, base + 64) - base;
+    const std::uint32_t hi = std::clamp(end, base, base + 64) - base;
+    return common::mask(hi) & ~common::mask(lo);
 }
 
-std::uint64_t
-QueueEntry::packedCost(const FinePackConfig &config) const
+} // namespace
+
+std::uint32_t
+QueueEntry::enabledIn(std::uint32_t begin, std::uint32_t end) const
 {
-    // Direct bitset walk rather than runs(): this accounting runs per
-    // buffered store (twice on a queue hit), so it must not build a
-    // run vector the way the flush-time paths do.
-    std::uint64_t cost = 0;
-    std::uint32_t i = 0;
-    const auto line = static_cast<std::uint32_t>(mask.size());
-    while (i < line) {
-        if (!mask.test(i)) {
-            ++i;
-            continue;
-        }
-        std::uint32_t start = i;
-        while (i < line && mask.test(i))
-            ++i;
-        cost += config.subheader_bytes + (i - start);
-    }
-    return cost;
+    return static_cast<std::uint32_t>(
+        std::popcount(enables[0] & wordBits(0, begin, end)) +
+        std::popcount(enables[1] & wordBits(1, begin, end)));
+}
+
+std::uint32_t
+QueueEntry::runCount() const
+{
+    // A run starts at every enabled byte whose predecessor is not
+    // enabled; byte 64's predecessor is bit 63 of the low word.
+    const std::uint64_t lo = enables[0];
+    const std::uint64_t hi = enables[1];
+    return static_cast<std::uint32_t>(
+        std::popcount(lo & ~(lo << 1)) +
+        std::popcount(hi & ~((hi << 1) | (lo >> 63))));
 }
 
 std::pair<std::uint32_t, std::uint32_t>
 QueueEntry::writtenSpan() const
 {
-    const auto line = static_cast<std::uint32_t>(mask.size());
-    std::uint32_t first = 0;
-    while (first < line && !mask.test(first))
-        ++first;
-    std::uint32_t last = line;
-    while (last > first && !mask.test(last - 1))
-        --last;
+    const std::uint64_t lo = enables[0];
+    const std::uint64_t hi = enables[1];
+    if (!lo && !hi)
+        return {0, 0};
+    const auto first = static_cast<std::uint32_t>(
+        lo ? std::countr_zero(lo) : 64 + std::countr_zero(hi));
+    const auto last = static_cast<std::uint32_t>(
+        hi ? 128 - std::countl_zero(hi) : 64 - std::countl_zero(lo));
     return {first, last};
+}
+
+std::uint32_t
+QueueEntry::nextByte(std::uint32_t from, bool set) const
+{
+    for (std::uint32_t word = from / 64; word < 2; ++word) {
+        std::uint64_t bits = set ? enables[word] : ~enables[word];
+        bits &= wordBits(word, from, FinePackConfig::entry_bytes);
+        if (bits)
+            return word * 64 +
+                   static_cast<std::uint32_t>(std::countr_zero(bits));
+    }
+    return FinePackConfig::entry_bytes;
+}
+
+std::uint32_t
+QueueEntry::merge(std::uint32_t offset, const icn::Store &store)
+{
+    const std::uint32_t end = offset + store.size;
+    fp_assert(end <= FinePackConfig::entry_bytes, "store escapes its line");
+    const std::uint32_t overwritten = enabledIn(offset, end);
+    enables[0] |= wordBits(0, offset, end);
+    enables[1] |= wordBits(1, offset, end);
+    if (!store.data.empty()) {
+        if (data.empty())
+            data.assign(FinePackConfig::entry_bytes, 0);
+        std::copy_n(store.data.begin(), store.size, data.begin() + offset);
+    }
+    return overwritten;
 }
 
 // ---------------------------------------------------------------------
@@ -87,6 +111,16 @@ RwqWindow::RwqWindow(const FinePackConfig &config,
       _available_payload(config.max_payload)
 {
     fp_assert(entry_budget > 0, "window needs at least one entry");
+    _entries.reserve(entry_budget);
+}
+
+std::size_t
+RwqWindow::findLine(Addr line) const
+{
+    std::size_t slot = 0;
+    while (slot < _entries.size() && _entries[slot].line_addr != line)
+        ++slot;
+    return slot;
 }
 
 Addr
@@ -134,7 +168,8 @@ RwqWindow::entryBound(const icn::Store &store) const
 {
     // SRAM capacity: a miss needs a free entry.
     Addr line = common::alignDown(store.addr, _config.entry_bytes);
-    return !_lookup.count(line) && _entries.size() >= _entry_budget;
+    return _entries.size() >= _entry_budget &&
+           findLine(line) == _entries.size();
 }
 
 RwqWindow::InsertOutcome
@@ -152,9 +187,6 @@ RwqWindow::insert(const icn::Store &store)
         return cost + _available_payload == _config.max_payload;
     };
     const std::size_t entries_before = _entries.size();
-    const bool was_hit =
-        _lookup.count(common::alignDown(store.addr, _config.entry_bytes)) >
-        0;
 
     if (_entries.empty()) {
         // First store of a fresh window: the base address register
@@ -167,24 +199,14 @@ RwqWindow::insert(const icn::Store &store)
     Addr line = common::alignDown(store.addr, _config.entry_bytes);
     auto offset_in_line = static_cast<std::uint32_t>(store.addr - line);
 
-    auto it = _lookup.find(line);
-    if (it != _lookup.end()) {
-        // Queue hit: OR the byte mask and overwrite the data in place.
-        ++_queue_hits;
+    const std::size_t slot = findLine(line);
+    const bool was_hit = slot < _entries.size();
+    if (was_hit) {
+        // Queue hit: OR the byte enables and overwrite the data in place.
         outcome.queue_hit = true;
-        QueueEntry &entry = _entries[it->second];
+        QueueEntry &entry = _entries[slot];
         std::uint64_t cost_before = entry.packedCost(_config);
-
-        for (std::uint32_t i = 0; i < store.size; ++i) {
-            if (entry.mask.test(offset_in_line + i)) {
-                ++_bytes_elided;
-                ++outcome.overwritten_bytes;
-            }
-            entry.mask.set(offset_in_line + i);
-            if (!store.data.empty())
-                entry.data[offset_in_line + i] = store.data[i];
-        }
-        entry.has_data |= !store.data.empty();
+        outcome.overwritten_bytes = entry.merge(offset_in_line, store);
 
         std::uint64_t cost_after = entry.packedCost(_config);
         // Merging can only keep or reduce the packed cost relative to
@@ -198,24 +220,16 @@ RwqWindow::insert(const icn::Store &store)
             _available_payload += cost_before - cost_after;
         }
     } else {
-        // Miss: allocate a fresh entry.
+        // Miss: fill the next free slot.
         fp_assert(_entries.size() < _entry_budget,
                   "entry allocation without free space");
-        QueueEntry entry;
+        QueueEntry &entry = _entries.emplace_back();
         entry.line_addr = line;
-        entry.data.assign(_config.entry_bytes, 0);
-        entry.has_data = !store.data.empty();
-        for (std::uint32_t i = 0; i < store.size; ++i) {
-            entry.mask.set(offset_in_line + i);
-            if (!store.data.empty())
-                entry.data[offset_in_line + i] = store.data[i];
-        }
+        entry.merge(offset_in_line, store);
         std::uint64_t cost = entry.packedCost(_config);
         fp_assert(cost <= _available_payload,
                   "new entry cost exceeded the checked budget");
         _available_payload -= cost;
-        _lookup[line] = _entries.size();
-        _entries.push_back(std::move(entry));
     }
     if (store.issue_tick != max_tick)
         _stamps.push_back({store.issue_tick, store.size});
@@ -242,23 +256,17 @@ RwqWindow::insert(const icn::Store &store)
 bool
 RwqWindow::conflicts(Addr addr, std::uint32_t size) const
 {
-    if (_entries.empty())
-        return false;
-    Addr line_lo = common::alignDown(addr, _config.entry_bytes);
-    Addr line_hi = common::alignDown(addr + size - 1, _config.entry_bytes);
-    for (Addr line = line_lo; line <= line_hi;
-         line += _config.entry_bytes) {
-        auto it = _lookup.find(line);
-        if (it == _lookup.end())
+    // Compare the access with every buffered line, as the SRAM would.
+    for (const QueueEntry &entry : _entries) {
+        const Addr line = entry.line_addr;
+        if (line >= addr + size || line + _config.entry_bytes <= addr)
             continue;
-        const QueueEntry &entry = _entries[it->second];
         std::uint32_t lo =
             addr > line ? static_cast<std::uint32_t>(addr - line) : 0;
         std::uint32_t hi = static_cast<std::uint32_t>(
             std::min<Addr>(addr + size - line, _config.entry_bytes));
-        for (std::uint32_t i = lo; i < hi; ++i)
-            if (entry.mask.test(i))
-                return true;
+        if (entry.enabledIn(lo, hi) > 0)
+            return true;
     }
     return false;
 }
@@ -272,7 +280,10 @@ RwqWindow::take(GpuId dst)
         _base_register == invalid_addr
             ? 0
             : (_base_register << _config.offsetBits());
-    result.entries = std::move(_entries);
+    // Move the lines out but keep the slots: the window's storage is
+    // reserved once, and the flush owns an exactly sized copy.
+    result.entries.assign(std::make_move_iterator(_entries.begin()),
+                          std::make_move_iterator(_entries.end()));
     result.packed_store_count = _buffered_stores;
     result.store_stamps = std::move(_stamps);
 
@@ -284,7 +295,6 @@ RwqWindow::take(GpuId dst)
               });
 
     _entries.clear();
-    _lookup.clear();
     _stamps.clear();
     _base_register = invalid_addr;
     _available_payload = _config.max_payload;
@@ -302,6 +312,7 @@ RwqPartition::RwqPartition(GpuId dst, const FinePackConfig &config)
     _config.validate();
     std::uint32_t budget =
         config.queue_entries / config.windows_per_partition;
+    _windows.reserve(config.windows_per_partition);
     for (std::uint32_t w = 0; w < config.windows_per_partition; ++w) {
         _windows.emplace_back(_config, budget);
         _lru.push_back(w);
@@ -353,18 +364,6 @@ RwqPartition::push(const icn::Store &store,
         return;
     }
     pushPiece(store, sink);
-}
-
-std::optional<FlushedPartition>
-RwqPartition::push(const icn::Store &store)
-{
-    std::vector<FlushedPartition> sink;
-    push(store, sink);
-    fp_assert(sink.size() <= 1,
-              "split push produced multiple flushes; use the sink API");
-    if (sink.empty())
-        return std::nullopt;
-    return std::move(sink.front());
 }
 
 void
@@ -426,7 +425,7 @@ RwqPartition::captureWindow(RwqWindow &window, FlushReason reason,
     FP_INVARIANT(!window.empty(), "rwq-flush-nonempty",
                  "capturing an empty window (reason ", toString(reason),
                  ")");
-    recordFlush(reason);
+    ++_flush_counts[static_cast<std::size_t>(reason)];
     sink.push_back(window.take(_dst));
     sink.back().reason = reason;
     for (RwqObserver *observer : _observers)
@@ -437,6 +436,8 @@ void
 RwqPartition::insertObserved(RwqWindow &window, const icn::Store &store)
 {
     RwqWindow::InsertOutcome outcome = window.insert(store);
+    _queue_hits += outcome.queue_hit;
+    _bytes_elided += outcome.overwritten_bytes;
     for (RwqObserver *observer : _observers) {
         if (outcome.queue_hit)
             observer->storeCoalesced(_dst, store,
@@ -456,18 +457,6 @@ RwqPartition::flush(FlushReason reason,
     }
 }
 
-FlushedPartition
-RwqPartition::flush(FlushReason reason)
-{
-    std::vector<FlushedPartition> sink;
-    flush(reason, sink);
-    fp_assert(sink.size() <= 1,
-              "multi-window flush needs the sink API");
-    if (sink.empty())
-        return FlushedPartition{_dst, 0, {}, 0, FlushReason::release, {}};
-    return std::move(sink.front());
-}
-
 bool
 RwqPartition::flushIfConflict(Addr addr, std::uint32_t size,
                               FlushReason reason,
@@ -482,114 +471,11 @@ RwqPartition::flushIfConflict(Addr addr, std::uint32_t size,
     return true;
 }
 
-std::optional<FlushedPartition>
-RwqPartition::flushIfConflict(Addr addr, std::uint32_t size,
-                              FlushReason reason)
-{
-    std::vector<FlushedPartition> sink;
-    if (!flushIfConflict(addr, size, reason, sink))
-        return std::nullopt;
-    fp_assert(sink.size() <= 1,
-              "multi-window conflict flush needs the sink API");
-    if (sink.empty())
-        return std::nullopt;
-    return std::move(sink.front());
-}
-
-bool
-RwqPartition::empty() const
-{
-    for (const RwqWindow &window : _windows)
-        if (!window.empty())
-            return false;
-    return true;
-}
-
-std::size_t
-RwqPartition::entryCount() const
-{
-    std::size_t total = 0;
-    for (const RwqWindow &window : _windows)
-        total += window.entryCount();
-    return total;
-}
-
-std::uint64_t
-RwqPartition::bufferedStores() const
-{
-    std::uint64_t total = 0;
-    for (const RwqWindow &window : _windows)
-        total += window.bufferedStores();
-    return total;
-}
-
 const RwqWindow &
 RwqPartition::window(std::uint32_t i) const
 {
     fp_assert(i < _windows.size(), "window index out of range");
     return _windows[i];
-}
-
-std::uint64_t
-RwqPartition::availablePayload() const
-{
-    fp_assert(_windows.size() == 1,
-              "availablePayload is a single-window accessor");
-    return _windows[0].availablePayload();
-}
-
-Addr
-RwqPartition::baseAddrRegister() const
-{
-    fp_assert(_windows.size() == 1,
-              "baseAddrRegister is a single-window accessor");
-    return _windows[0].baseAddrRegister();
-}
-
-Addr
-RwqPartition::windowLo() const
-{
-    fp_assert(_windows.size() == 1,
-              "windowLo is a single-window accessor");
-    return _windows[0].windowLo();
-}
-
-Addr
-RwqPartition::windowHi() const
-{
-    fp_assert(_windows.size() == 1,
-              "windowHi is a single-window accessor");
-    return _windows[0].windowHi();
-}
-
-std::uint64_t
-RwqPartition::bytesElided() const
-{
-    std::uint64_t total = 0;
-    for (const RwqWindow &window : _windows)
-        total += window.bytesElided();
-    return total;
-}
-
-std::uint64_t
-RwqPartition::queueHits() const
-{
-    std::uint64_t total = 0;
-    for (const RwqWindow &window : _windows)
-        total += window.queueHits();
-    return total;
-}
-
-void
-RwqPartition::recordFlush(FlushReason reason)
-{
-    ++_flush_counts[static_cast<std::size_t>(reason)];
-}
-
-std::uint64_t
-RwqPartition::flushes(FlushReason reason) const
-{
-    return _flush_counts[static_cast<std::size_t>(reason)];
 }
 
 // ---------------------------------------------------------------------
@@ -614,19 +500,6 @@ RemoteWriteQueue::push(const icn::Store &store,
     partition(store.dst).push(store, sink);
 }
 
-std::optional<FlushedPartition>
-RemoteWriteQueue::push(const icn::Store &store)
-{
-    fp_assert(store.dst != _self, "store to self reached the write queue");
-    return partition(store.dst).push(store);
-}
-
-FlushedPartition
-RemoteWriteQueue::flush(GpuId dst, FlushReason reason)
-{
-    return partition(dst).flush(reason);
-}
-
 std::vector<FlushedPartition>
 RemoteWriteQueue::flushAll(FlushReason reason)
 {
@@ -645,13 +518,6 @@ RemoteWriteQueue::flushIfConflict(GpuId dst, Addr addr,
                                   std::vector<FlushedPartition> &sink)
 {
     return partition(dst).flushIfConflict(addr, size, reason, sink);
-}
-
-std::optional<FlushedPartition>
-RemoteWriteQueue::flushIfConflict(GpuId dst, Addr addr,
-                                  std::uint32_t size, FlushReason reason)
-{
-    return partition(dst).flushIfConflict(addr, size, reason);
 }
 
 void

@@ -20,10 +20,10 @@
 #ifndef FP_FINEPACK_REMOTE_WRITE_QUEUE_HH
 #define FP_FINEPACK_REMOTE_WRITE_QUEUE_HH
 
-#include <bitset>
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -34,37 +34,79 @@
 
 namespace fp::finepack {
 
-/** One 128 B line buffered in a remote write queue window. */
+/**
+ * One 128 B line buffered in a remote write queue window or in the
+ * write-combining buffer, held the way the SRAM holds it: a line tag,
+ * one enable bit per byte in two 64-bit words, and the line data.
+ * The data is sized to the line only once a merged store carries
+ * payload, so a timing-only run buffers lines without allocating.
+ */
 struct QueueEntry
 {
+    static_assert(FinePackConfig::entry_bytes == 128,
+                  "two 64-bit enable words cover one 128 B line");
+
     /** Line-aligned tag address (device-local, destination GPU). */
     Addr line_addr = 0;
-    /** Line data; only bytes with their enable set are meaningful. */
+    /** Per-byte write enables: bit i of enables[i / 64] is byte i. */
+    std::array<std::uint64_t, 2> enables{};
+    /** Line data, empty until a merged store carried payload. */
     std::vector<std::uint8_t> data;
-    /** Per-byte write enables. */
-    std::bitset<128> mask;
+
     /** True when at least one merged store carried payload bytes. */
-    bool has_data = false;
+    bool hasData() const { return !data.empty(); }
+
+    /** Is byte @p offset of the line enabled? */
+    bool enabled(std::uint32_t offset) const
+    { return (enables[offset / 64] >> (offset % 64)) & 1; }
+
+    /** Number of enabled bytes in [begin, end) of the line. */
+    std::uint32_t enabledIn(std::uint32_t begin, std::uint32_t end) const;
+
+    /** Number of enabled bytes. */
+    std::uint32_t validBytes() const
+    { return static_cast<std::uint32_t>(std::popcount(enables[0]) +
+                                        std::popcount(enables[1])); }
+
+    /** Number of contiguous enabled-byte runs. */
+    std::uint32_t runCount() const;
 
     /**
      * The packed cost of this entry in a FinePack payload: one
      * sub-header plus the run length for every contiguous enabled run.
      */
-    std::uint64_t packedCost(const FinePackConfig &config) const;
+    std::uint64_t
+    packedCost(const FinePackConfig &config) const
+    {
+        return validBytes() +
+               std::uint64_t{config.subheader_bytes} * runCount();
+    }
 
-    /** Contiguous enabled-byte runs as (start byte, length) pairs. */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs() const;
-
-    /**
-     * [first, last) written-byte span of the line (first enabled byte
-     * to one past the last). Unlike runs(), allocates nothing; (0, 0)
-     * for an empty mask.
-     */
+    /** [first enabled byte, one past the last); (0, 0) when none is. */
     std::pair<std::uint32_t, std::uint32_t> writtenSpan() const;
 
-    /** Number of enabled bytes. */
-    std::uint32_t validBytes() const
-    { return static_cast<std::uint32_t>(mask.count()); }
+    /** First byte >= @p from whose enable is @p set, or entry_bytes. */
+    std::uint32_t nextByte(std::uint32_t from, bool set) const;
+
+    /** Call @p visit(start, length) per enabled run, in byte order. */
+    template <typename Visit>
+    void
+    forEachRun(Visit &&visit) const
+    {
+        std::uint32_t start = nextByte(0, true);
+        while (start < FinePackConfig::entry_bytes) {
+            std::uint32_t end = nextByte(start, false);
+            visit(start, end - start);
+            start = nextByte(end, true);
+        }
+    }
+
+    /**
+     * Merge @p store, which starts at byte @p offset: set its enables
+     * and overwrite its payload bytes in place (last writer wins).
+     * @return the bytes whose enable was already set.
+     */
+    std::uint32_t merge(std::uint32_t offset, const icn::Store &store);
 };
 
 /** Why a window was flushed (for statistics / Figure analysis). */
@@ -194,11 +236,10 @@ class RwqWindow
     /** Remove and return everything buffered (entries sorted). */
     FlushedPartition take(GpuId dst);
 
-    /** Lifetime statistics. */
-    std::uint64_t queueHits() const { return _queue_hits; }
-    std::uint64_t bytesElided() const { return _bytes_elided; }
-
   private:
+    /** The slot holding @p line, or _entries.size() on a miss. */
+    std::size_t findLine(Addr line) const;
+
     FinePackConfig _config;
     std::uint32_t _entry_budget;
 
@@ -206,14 +247,10 @@ class RwqWindow
     std::uint64_t _available_payload;
     std::uint64_t _buffered_stores = 0;
 
+    /** SRAM slots, reserved once to the budget; found by tag scan. */
     std::vector<QueueEntry> _entries;
-    /** Associative lookup: line address -> index into _entries. */
-    std::unordered_map<Addr, std::size_t> _lookup;
     /** Issue stamps of buffered stores (latency attribution only). */
     std::vector<obs::StoreStamp> _stamps;
-
-    std::uint64_t _queue_hits = 0;
-    std::uint64_t _bytes_elided = 0;
 };
 
 /**
@@ -240,21 +277,12 @@ class RwqPartition
               std::vector<FlushedPartition> &sink);
 
     /**
-     * Convenience wrapper for the common single-flush case; panics if
-     * the push produced more than one flush (use the sink overload
-     * when the window can be smaller than a cache line).
-     */
-    std::optional<FlushedPartition> push(const icn::Store &store);
-
-    /**
      * Flush all windows (synchronization); empty windows contribute
-     * nothing. Returns one FlushedPartition per non-empty window,
-     * oldest first. The single-window convenience form returns the
-     * first (or an empty result).
+     * nothing. Appends one FlushedPartition per non-empty window to
+     * @p sink, least recently used first.
      */
     void flush(FlushReason reason,
                std::vector<FlushedPartition> &sink);
-    FlushedPartition flush(FlushReason reason);
 
     /**
      * Flush only if @p addr..addr+size overlaps a buffered store (the
@@ -265,23 +293,16 @@ class RwqPartition
     bool flushIfConflict(Addr addr, std::uint32_t size,
                          FlushReason reason,
                          std::vector<FlushedPartition> &sink);
-    std::optional<FlushedPartition>
-    flushIfConflict(Addr addr, std::uint32_t size, FlushReason reason);
 
-    bool empty() const;
-    std::size_t entryCount() const;
-    std::uint64_t bufferedStores() const;
+    bool empty() const { return entryCount() == 0; }
+    std::size_t entryCount() const { return sum(&RwqWindow::entryCount); }
+    std::uint64_t bufferedStores() const
+    { return sum(&RwqWindow::bufferedStores); }
 
     /** Number of configured windows. */
     std::uint32_t windowCount() const
     { return static_cast<std::uint32_t>(_windows.size()); }
     const RwqWindow &window(std::uint32_t i) const;
-
-    // Single-window convenience accessors (panic when windowCount()>1).
-    std::uint64_t availablePayload() const;
-    Addr baseAddrRegister() const;
-    Addr windowLo() const;
-    Addr windowHi() const;
 
     /**
      * Attach a causal-order observer (the caller keeps ownership; at
@@ -299,11 +320,23 @@ class RwqPartition
     /** Lifetime statistics. */
     std::uint64_t storesPushed() const { return _stores_pushed; }
     std::uint64_t bytesPushed() const { return _bytes_pushed; }
-    std::uint64_t bytesElided() const;
-    std::uint64_t flushes(FlushReason reason) const;
-    std::uint64_t queueHits() const;
+    std::uint64_t bytesElided() const { return _bytes_elided; }
+    std::uint64_t flushes(FlushReason reason) const
+    { return _flush_counts[static_cast<std::size_t>(reason)]; }
+    std::uint64_t queueHits() const { return _queue_hits; }
 
   private:
+    /** @p stat summed over the windows. */
+    template <typename Stat>
+    std::uint64_t
+    sum(Stat (RwqWindow::*stat)() const) const
+    {
+        std::uint64_t total = 0;
+        for (const RwqWindow &window : _windows)
+            total += (window.*stat)();
+        return total;
+    }
+
     void pushPiece(const icn::Store &store,
                    std::vector<FlushedPartition> &sink);
     /** Flush @p window into @p sink, notifying the observer in order. */
@@ -312,7 +345,6 @@ class RwqPartition
     /** Insert into @p window, notifying the observer in order. */
     void insertObserved(RwqWindow &window,
                         const icn::Store &store);
-    void recordFlush(FlushReason reason);
     /** Move @p index to the back of the LRU order (most recent). */
     void touch(std::uint32_t index);
 
@@ -326,6 +358,8 @@ class RwqPartition
 
     std::uint64_t _stores_pushed = 0;
     std::uint64_t _bytes_pushed = 0;
+    std::uint64_t _queue_hits = 0;
+    std::uint64_t _bytes_elided = 0;
     std::uint64_t _flush_counts[6] = {};
 };
 
@@ -346,12 +380,6 @@ class RemoteWriteQueue
     void push(const icn::Store &store,
               std::vector<FlushedPartition> &sink);
 
-    /** Convenience wrapper; see RwqPartition::push(store). */
-    std::optional<FlushedPartition> push(const icn::Store &store);
-
-    /** Flush one destination's partition (first window's contents). */
-    FlushedPartition flush(GpuId dst, FlushReason reason);
-
     /** Flush every partition (system-scoped release). */
     std::vector<FlushedPartition> flushAll(FlushReason reason);
 
@@ -359,9 +387,6 @@ class RemoteWriteQueue
     bool flushIfConflict(GpuId dst, Addr addr, std::uint32_t size,
                          FlushReason reason,
                          std::vector<FlushedPartition> &sink);
-    std::optional<FlushedPartition>
-    flushIfConflict(GpuId dst, Addr addr, std::uint32_t size,
-                    FlushReason reason);
 
     RwqPartition &partition(GpuId dst);
     const RwqPartition &partition(GpuId dst) const;

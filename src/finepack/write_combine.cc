@@ -8,66 +8,53 @@
 namespace fp::finepack {
 
 WriteCombineBuffer::WriteCombineBuffer(GpuId src, GpuId dst,
-                                       std::uint32_t num_lines,
-                                       std::uint32_t line_bytes)
-    : _src(src), _dst(dst), _num_lines(num_lines), _line_bytes(line_bytes)
+                                       std::uint32_t num_lines)
+    : _src(src), _dst(dst), _num_lines(num_lines)
 {
     fp_assert(num_lines > 0, "write-combine buffer needs capacity");
-    fp_assert(common::isPowerOfTwo(line_bytes), "line size power of two");
+    _slots.reserve(num_lines);
 }
 
 std::optional<WcLine>
 WriteCombineBuffer::push(const icn::Store &store)
 {
+    constexpr std::uint32_t line_bytes = FinePackConfig::entry_bytes;
     fp_assert(store.dst == _dst, "store routed to wrong WC buffer");
-    fp_assert(store.size > 0 && store.size <= _line_bytes,
+    fp_assert(store.size > 0 && store.size <= line_bytes,
               "store size out of range");
-    fp_assert(common::alignDown(store.begin(), _line_bytes) ==
-                  common::alignDown(store.end() - 1, _line_bytes),
+    fp_assert(common::alignDown(store.begin(), line_bytes) ==
+                  common::alignDown(store.end() - 1, line_bytes),
               "store crosses a line boundary");
 
     ++_stores_pushed;
 
-    Addr line_addr = common::alignDown(store.addr, _line_bytes);
+    Addr line_addr = common::alignDown(store.addr, line_bytes);
     auto offset = static_cast<std::uint32_t>(store.addr - line_addr);
 
     std::optional<WcLine> evicted;
 
-    auto it = _lines.find(line_addr);
-    if (it == _lines.end()) {
-        if (_lines.size() >= _num_lines) {
+    auto slot = std::find_if(_slots.begin(), _slots.end(),
+                             [line_addr](const Slot &s) {
+                                 return s.line.entry.line_addr == line_addr;
+                             });
+    if (slot == _slots.end()) {
+        if (_slots.size() >= _num_lines) {
             // Evict the least recently written line.
-            Addr victim = _lru.back();
-            _lru.pop_back();
-            auto vit = _lines.find(victim);
-            fp_assert(vit != _lines.end(), "LRU bookkeeping broken");
-            evicted = std::move(vit->second.line);
-            _lines.erase(vit);
+            slot = std::min_element(_slots.begin(), _slots.end(),
+                                    [](const Slot &a, const Slot &b) {
+                                        return a.stamp < b.stamp;
+                                    });
+            evicted = std::move(slot->line);
+            slot->line = WcLine{};
+        } else {
+            slot = _slots.emplace(_slots.end());
         }
-        WcLine line;
-        line.entry.line_addr = line_addr;
-        line.entry.data.assign(_line_bytes, 0);
-        _lru.push_front(line_addr);
-        it = _lines.emplace(line_addr, Slot{std::move(line), _lru.begin()})
-                 .first;
-    } else {
-        // Move to MRU position.
-        _lru.erase(it->second.lru_it);
-        _lru.push_front(line_addr);
-        it->second.lru_it = _lru.begin();
+        slot->line.entry.line_addr = line_addr;
     }
 
-    Slot &slot = it->second;
-    QueueEntry &entry = slot.line.entry;
-    for (std::uint32_t i = 0; i < store.size; ++i) {
-        if (entry.mask.test(offset + i))
-            ++_bytes_elided;
-        entry.mask.set(offset + i);
-        if (!store.data.empty())
-            entry.data[offset + i] = store.data[i];
-    }
-    entry.has_data |= !store.data.empty();
-    ++slot.line.folded;
+    slot->stamp = _stores_pushed;
+    _bytes_elided += slot->line.entry.merge(offset, store);
+    ++slot->line.folded;
 
     return evicted;
 }
@@ -76,14 +63,10 @@ std::vector<WcLine>
 WriteCombineBuffer::flushAll()
 {
     std::vector<WcLine> lines;
-    lines.reserve(_lines.size());
-    // fp-lint: allow(unordered-iteration) lines are sorted by address below
-    for (auto &[addr, slot] : _lines) {
-        (void)addr;
+    lines.reserve(_slots.size());
+    for (Slot &slot : _slots)
         lines.push_back(std::move(slot.line));
-    }
-    _lines.clear();
-    _lru.clear();
+    _slots.clear();
     std::sort(lines.begin(), lines.end(),
               [](const WcLine &a, const WcLine &b) {
                   return a.entry.line_addr < b.entry.line_addr;
@@ -100,7 +83,7 @@ WriteCombineBuffer::lineToMessage(const WcLine &line,
     msg->src = _src;
     msg->dst = _dst;
     // The whole line travels as payload; unwritten bytes are waste.
-    msg->payload_bytes = _line_bytes;
+    msg->payload_bytes = FinePackConfig::entry_bytes;
     msg->header_bytes = protocol.tlpOverhead();
     msg->data_bytes = line.entry.validBytes();
     msg->packed_store_count = line.folded;
@@ -108,14 +91,14 @@ WriteCombineBuffer::lineToMessage(const WcLine &line,
     // The wire carries the whole line, but only the written bytes are
     // semantically delivered (the receiver applies byte enables); emit
     // one store per contiguous run so functional state stays correct.
-    for (const auto &[start, len] : line.entry.runs()) {
+    line.entry.forEachRun([&](std::uint32_t start, std::uint32_t len) {
         icn::Store store(line.entry.line_addr + start, len, _src, _dst);
-        if (line.entry.has_data) {
+        if (line.entry.hasData()) {
             store.data.assign(line.entry.data.begin() + start,
                               line.entry.data.begin() + start + len);
         }
         msg->stores.push_back(std::move(store));
-    }
+    });
     return msg;
 }
 

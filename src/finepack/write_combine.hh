@@ -13,9 +13,7 @@
 #define FP_FINEPACK_WRITE_COMBINE_HH
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -34,20 +32,20 @@ struct WcLine
 };
 
 /**
- * One destination's write-combining buffer with LRU replacement.
- * Flushing a line produces a full-cacheline write message.
+ * One destination's write-combining buffer with LRU replacement: a
+ * fixed set of line slots, found by a tag scan and stamped with the
+ * order of their last write, so the victim is the line with the oldest
+ * stamp. Flushing a line produces a full-cacheline write message.
  */
 class WriteCombineBuffer
 {
   public:
     /**
-     * @param src        Issuing GPU.
-     * @param dst        Destination GPU.
-     * @param num_lines  Buffer capacity in cache lines.
-     * @param line_bytes Cache line size.
+     * @param src       Issuing GPU.
+     * @param dst       Destination GPU.
+     * @param num_lines Buffer capacity in 128 B cache lines.
      */
-    WriteCombineBuffer(GpuId src, GpuId dst, std::uint32_t num_lines = 64,
-                       std::uint32_t line_bytes = 128);
+    WriteCombineBuffer(GpuId src, GpuId dst, std::uint32_t num_lines = 64);
 
     /**
      * Buffer one store; returns the evicted line when the insertion
@@ -63,8 +61,7 @@ class WriteCombineBuffer
                                const icn::PcieProtocol &protocol)
         const;
 
-    std::size_t lineCount() const { return _lru.size(); }
-    std::uint32_t lineBytes() const { return _line_bytes; }
+    std::size_t lineCount() const { return _slots.size(); }
     std::uint64_t storesPushed() const { return _stores_pushed; }
     std::uint64_t bytesElided() const { return _bytes_elided; }
 
@@ -72,17 +69,16 @@ class WriteCombineBuffer
     struct Slot
     {
         WcLine line;
-        std::list<Addr>::iterator lru_it;
+        /** storesPushed() at the line's last write; larger is newer. */
+        std::uint64_t stamp = 0;
     };
 
     GpuId _src;
     GpuId _dst;
     std::uint32_t _num_lines;
-    std::uint32_t _line_bytes;
 
-    /** LRU order: front = most recently written. */
-    std::list<Addr> _lru;
-    std::unordered_map<Addr, Slot> _lines;
+    /** The buffered lines, reserved once to the capacity. */
+    std::vector<Slot> _slots;
 
     std::uint64_t _stores_pushed = 0;
     std::uint64_t _bytes_elided = 0;

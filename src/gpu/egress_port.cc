@@ -131,7 +131,7 @@ EgressPort::EgressPort(const std::string &name, common::EventQueue &queue,
             if (g == self)
                 continue;
             _wc[g] = std::make_unique<finepack::WriteCombineBuffer>(
-                self, g, config.queue_entries, config.entry_bytes);
+                self, g, config.queue_entries);
         }
     }
 

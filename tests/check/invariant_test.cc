@@ -86,10 +86,11 @@ TEST_F(InvariantTest, RwqHotPathIsInstrumented)
         GTEST_SKIP() << "FP_CHECK disabled in this build";
 
     finepack::RwqPartition partition(1, finepack::defaultConfig());
+    std::vector<finepack::FlushedPartition> sink;
     icn::Store store(0x1000, 8, 0, 1);
-    partition.push(store);
+    partition.push(store, sink);
     icn::Store hit(0x1002, 8, 0, 1); // overlapping rewrite
-    partition.push(hit);
+    partition.push(hit, sink);
 
     auto &registry = InvariantRegistry::instance();
     EXPECT_EQ(registry.checks("rwq-payload-accounting"), 2u);
@@ -105,11 +106,13 @@ TEST_F(InvariantTest, PacketizerIsInstrumented)
 
     finepack::FinePackConfig config = finepack::defaultConfig();
     finepack::RwqPartition partition(1, config);
-    partition.push(icn::Store(0x1000, 8, 0, 1));
-    auto flushed = partition.flush(finepack::FlushReason::release);
+    std::vector<finepack::FlushedPartition> flushed;
+    partition.push(icn::Store(0x1000, 8, 0, 1), flushed);
+    partition.flush(finepack::FlushReason::release, flushed);
+    ASSERT_EQ(flushed.size(), 1u);
 
     finepack::Packetizer packetizer(0, config);
-    packetizer.packetize(flushed);
+    packetizer.packetize(flushed[0]);
 
     auto &registry = InvariantRegistry::instance();
     EXPECT_EQ(registry.checks("packetizer-byte-conservation"), 1u);

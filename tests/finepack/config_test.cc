@@ -61,10 +61,6 @@ TEST(FinePackConfigTest, ValidationRejectsBadGeometry)
     config = defaultConfig();
     config.queue_entries = 0;
     EXPECT_THROW(config.validate(), common::SimError);
-
-    config = defaultConfig();
-    config.entry_bytes = 100; // not a power of two
-    EXPECT_THROW(config.validate(), common::SimError);
 }
 
 TEST(FinePackConfigTest, TableIIIStorageFootprint)

@@ -26,6 +26,25 @@ makeStore(Addr addr, std::uint32_t size,
     return store;
 }
 
+/** Buffer @p store in @p partition; it must not flush anything. */
+void
+buffer(RwqPartition &partition, const Store &store)
+{
+    std::vector<FlushedPartition> sink;
+    partition.push(store, sink);
+    EXPECT_TRUE(sink.empty());
+}
+
+/** Release @p partition's only window, which must hold something. */
+FlushedPartition
+release(RwqPartition &partition)
+{
+    std::vector<FlushedPartition> sink;
+    partition.flush(FlushReason::release, sink);
+    EXPECT_EQ(sink.size(), 1u);
+    return sink.empty() ? FlushedPartition{} : std::move(sink.front());
+}
+
 } // namespace
 
 TEST(PacketizerEdgeTest, NonContiguousRunsSplitIntoSubPackets)
@@ -42,9 +61,9 @@ TEST(PacketizerEdgeTest, NonContiguousRunsSplitIntoSubPackets)
         std::vector<std::uint8_t> data(size);
         for (std::uint32_t i = 0; i < size; ++i)
             data[i] = static_cast<std::uint8_t>(addr + i);
-        partition.push(makeStore(addr, size, std::move(data)));
+        buffer(partition, makeStore(addr, size, std::move(data)));
     }
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    FlushedPartition flushed = release(partition);
     ASSERT_EQ(flushed.entries.size(), 1u);
 
     Packetizer packetizer(0, config);
@@ -66,9 +85,9 @@ TEST(PacketizerEdgeTest, AdjacentStoresMergeIntoOneRun)
     // The converse: runs that touch must NOT split.
     FinePackConfig config = defaultConfig();
     RwqPartition partition(1, config);
-    partition.push(makeStore(0x1000, 4));
-    partition.push(makeStore(0x1004, 4));
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    buffer(partition, makeStore(0x1000, 4));
+    buffer(partition, makeStore(0x1004, 4));
+    FlushedPartition flushed = release(partition);
 
     Packetizer packetizer(0, config);
     FinePackTransaction txn = packetizer.packetize(flushed);
@@ -85,9 +104,9 @@ TEST(PacketizerEdgeTest, StoreAtMaximumEncodableOffset)
     const Addr base = 7 * range; // window-grid aligned, non-zero
 
     RwqPartition partition(1, config);
-    partition.push(makeStore(base, 4)); // opens the window at its base
-    partition.push(makeStore(base + range - 8, 8)); // last 8 bytes
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    buffer(partition, makeStore(base, 4)); // opens the window at its base
+    buffer(partition, makeStore(base + range - 8, 8)); // last 8 bytes
+    FlushedPartition flushed = release(partition);
     EXPECT_EQ(flushed.window_base, base);
 
     Packetizer packetizer(0, config);
@@ -107,8 +126,8 @@ TEST(PacketizerEdgeTest, OneByteAtVeryLastOffset)
     FinePackConfig config = defaultConfig();
     const std::uint64_t range = config.addressableRange();
     RwqPartition partition(1, config);
-    partition.push(makeStore(range - 1, 1)); // offset 2^N - 1
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    buffer(partition, makeStore(range - 1, 1)); // offset 2^N - 1
+    FlushedPartition flushed = release(partition);
 
     Packetizer packetizer(0, config);
     FinePackTransaction txn = packetizer.packetize(flushed);
@@ -121,9 +140,12 @@ TEST(PacketizerEdgeTest, EmptyPartitionFlushIsEmptyAndUnpacketizable)
 {
     FinePackConfig config = defaultConfig();
     RwqPartition partition(1, config);
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    std::vector<FlushedPartition> sink;
+    partition.flush(FlushReason::release, sink);
+    EXPECT_TRUE(sink.empty());
+    FlushedPartition flushed;
+    flushed.dst = 1;
     EXPECT_TRUE(flushed.empty());
-    EXPECT_EQ(flushed.packed_store_count, 0u);
 
     // Empty flushes never reach the packetizer; feeding one anyway is
     // a caller bug and panics.
@@ -142,13 +164,13 @@ TEST(PacketizerEdgeTest, FullyOverwrittenEntryKeepsLastData)
 
     std::vector<std::uint8_t> first(config.entry_bytes, 0x11);
     std::vector<std::uint8_t> second(config.entry_bytes, 0x22);
-    partition.push(makeStore(0x2000, config.entry_bytes, first));
+    buffer(partition, makeStore(0x2000, config.entry_bytes, first));
     EXPECT_EQ(partition.entryCount(), 1u);
-    partition.push(makeStore(0x2000, config.entry_bytes, second));
+    buffer(partition, makeStore(0x2000, config.entry_bytes, second));
     EXPECT_EQ(partition.entryCount(), 1u);
     EXPECT_EQ(partition.bytesElided(), config.entry_bytes);
 
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    FlushedPartition flushed = release(partition);
     Packetizer packetizer(0, config);
     FinePackTransaction txn = packetizer.packetize(flushed);
     ASSERT_EQ(txn.size(), 1u);
@@ -163,11 +185,11 @@ TEST(PacketizerEdgeTest, SparseOverwriteReplacesOnlyWrittenBytes)
 {
     FinePackConfig config = defaultConfig();
     RwqPartition partition(1, config);
-    partition.push(makeStore(0x3000, 8,
+    buffer(partition, makeStore(0x3000, 8,
                              {1, 2, 3, 4, 5, 6, 7, 8}));
-    partition.push(makeStore(0x3002, 2, {0xaa, 0xbb}));
+    buffer(partition, makeStore(0x3002, 2, {0xaa, 0xbb}));
 
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    FlushedPartition flushed = release(partition);
     Packetizer packetizer(0, config);
     FinePackTransaction txn = packetizer.packetize(flushed);
     ASSERT_EQ(txn.size(), 1u);

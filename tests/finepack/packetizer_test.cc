@@ -23,6 +23,25 @@ makeStore(Addr addr, std::uint32_t size,
     return store;
 }
 
+/** Buffer @p store in @p partition; it must not flush anything. */
+void
+buffer(RwqPartition &partition, const Store &store)
+{
+    std::vector<FlushedPartition> sink;
+    partition.push(store, sink);
+    EXPECT_TRUE(sink.empty());
+}
+
+/** Release @p partition's only window, which must hold something. */
+FlushedPartition
+release(RwqPartition &partition)
+{
+    std::vector<FlushedPartition> sink;
+    partition.flush(FlushReason::release, sink);
+    EXPECT_EQ(sink.size(), 1u);
+    return sink.empty() ? FlushedPartition{} : std::move(sink.front());
+}
+
 } // namespace
 
 TEST(TransactionTest, AppendTracksPayloadAndData)
@@ -86,10 +105,10 @@ TEST(PacketizerTest, OneSubPacketPerContiguousRun)
     FinePackConfig config = defaultConfig();
     RwqPartition partition(1, config);
     // Two disjoint byte ranges in one line plus one other line.
-    partition.push(makeStore(0x1000, 4));
-    partition.push(makeStore(0x1010, 8));
-    partition.push(makeStore(0x2000, 16));
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    buffer(partition, makeStore(0x1000, 4));
+    buffer(partition, makeStore(0x1010, 8));
+    buffer(partition, makeStore(0x2000, 16));
+    FlushedPartition flushed = release(partition);
 
     Packetizer packetizer(0, config);
     FinePackTransaction txn = packetizer.packetize(flushed);
@@ -115,15 +134,17 @@ TEST(PacketizerTest, PayloadAccountingMatchesQueueBudget)
         Addr line = addr & ~Addr{127};
         if (addr + size > line + 128)
             size = static_cast<std::uint32_t>(line + 128 - addr);
-        auto flushed = partition.push(makeStore(addr, size));
-        if (flushed) {
-            auto msg = packetizer.toMessage(*flushed, protocol);
+        std::vector<FlushedPartition> flushed;
+        partition.push(makeStore(addr, size), flushed);
+        for (const FlushedPartition &full : flushed) {
+            auto msg = packetizer.toMessage(full, protocol);
             EXPECT_LE(msg->payload_bytes, config.max_payload);
         }
     }
-    FlushedPartition rest = partition.flush(FlushReason::release);
-    if (!rest.empty()) {
-        auto msg = packetizer.toMessage(rest, protocol);
+    std::vector<FlushedPartition> rest;
+    partition.flush(FlushReason::release, rest);
+    for (const FlushedPartition &last : rest) {
+        auto msg = packetizer.toMessage(last, protocol);
         EXPECT_LE(msg->payload_bytes, config.max_payload);
     }
 }
@@ -132,9 +153,9 @@ TEST(PacketizerTest, MessageCarriesByteSplit)
 {
     FinePackConfig config = defaultConfig();
     RwqPartition partition(1, config);
-    partition.push(makeStore(0x1000, 8));
-    partition.push(makeStore(0x3000, 8));
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    buffer(partition, makeStore(0x1000, 8));
+    buffer(partition, makeStore(0x3000, 8));
+    FlushedPartition flushed = release(partition);
 
     Packetizer packetizer(0, config);
     icn::PcieProtocol protocol(icn::PcieGen::gen4);
@@ -157,8 +178,8 @@ TEST(PacketizerTest, AvgStoresPerPacketTracksFolding)
 
     // 10 program stores coalesce into one line (one packet).
     for (int i = 0; i < 10; ++i)
-        partition.push(makeStore(0x1000, 8));
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+        buffer(partition, makeStore(0x1000, 8));
+    FlushedPartition flushed = release(partition);
     packetizer.packetize(flushed);
     EXPECT_DOUBLE_EQ(packetizer.avgStoresPerPacket(), 10.0);
     EXPECT_EQ(packetizer.packetsEmitted(), 1u);
@@ -175,28 +196,19 @@ TEST(DePacketizerTest, RoundTripPreservesData)
 {
     FinePackConfig config = defaultConfig();
     RwqPartition partition(1, config);
-    partition.push(
-        makeStore(0x1000, 4, {0xde, 0xad, 0xbe, 0xef}));
-    partition.push(makeStore(0x1020, 2, {0xca, 0xfe}));
-    FlushedPartition flushed = partition.flush(FlushReason::release);
+    buffer(partition, makeStore(0x1000, 4, {0xde, 0xad, 0xbe, 0xef}));
+    buffer(partition, makeStore(0x1020, 2, {0xca, 0xfe}));
+    FlushedPartition flushed = release(partition);
 
     Packetizer packetizer(0, config);
     FinePackTransaction txn = packetizer.packetize(flushed);
 
-    DePacketizer depacketizer(config);
-    auto stores = depacketizer.unpack(txn);
+    // The receiver's de-packetizer step.
+    auto stores = txn.unpack();
     ASSERT_EQ(stores.size(), 2u);
     EXPECT_EQ(stores[0].addr, 0x1000u);
     EXPECT_EQ(stores[0].data,
               (std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef}));
     EXPECT_EQ(stores[1].addr, 0x1020u);
     EXPECT_EQ(stores[1].data, (std::vector<std::uint8_t>{0xca, 0xfe}));
-    EXPECT_EQ(depacketizer.storesUnpacked(), 2u);
-}
-
-TEST(DePacketizerTest, BufferSizeMatchesPaper)
-{
-    // Section IV-B: "a 64 entry buffer of 128B each".
-    DePacketizer depacketizer(defaultConfig());
-    EXPECT_EQ(depacketizer.bufferBytes(), 64u * 128);
 }

@@ -25,6 +25,15 @@ using fp::icn::Store;
 
 namespace {
 
+/** Release every window of @p partition; the flushes it produced. */
+std::vector<FlushedPartition>
+release(RwqPartition &partition)
+{
+    std::vector<FlushedPartition> sink;
+    partition.flush(FlushReason::release, sink);
+    return sink;
+}
+
 /** Shape of a random store stream. */
 struct StreamShape
 {
@@ -100,7 +109,6 @@ TEST_P(PipelineProperty, FinePackDeliveryMatchesDirectDelivery)
 
     RwqPartition partition(1, cfg);
     Packetizer packetizer(0, cfg);
-    DePacketizer depacketizer(cfg);
 
     FunctionalMemory direct, via_finepack;
 
@@ -108,7 +116,7 @@ TEST_P(PipelineProperty, FinePackDeliveryMatchesDirectDelivery)
         if (flushed.empty())
             return;
         FinePackTransaction txn = packetizer.packetize(flushed);
-        for (const Store &store : depacketizer.unpack(txn))
+        for (const Store &store : txn.unpack())
             via_finepack.apply(store);
     };
 
@@ -122,10 +130,13 @@ TEST_P(PipelineProperty, FinePackDeliveryMatchesDirectDelivery)
         for (const auto &flushed : sink)
             deliver(flushed);
         // Occasional synchronization points.
-        if (rng.chance(0.01))
-            deliver(partition.flush(FlushReason::release));
+        if (rng.chance(0.01)) {
+            for (const auto &flushed : release(partition))
+                deliver(flushed);
+        }
     }
-    deliver(partition.flush(FlushReason::release));
+    for (const auto &flushed : release(partition))
+        deliver(flushed);
 
     EXPECT_TRUE(direct.sameContents(via_finepack))
         << "memory divergence for shape " << shape().name;
@@ -159,7 +170,8 @@ TEST_P(PipelineProperty, TransactionsRespectFormatLimits)
         for (const auto &flushed : sink)
             check(flushed);
     }
-    check(partition.flush(FlushReason::release));
+    for (const auto &flushed : release(partition))
+        check(flushed);
 }
 
 TEST_P(PipelineProperty, ByteConservation)
@@ -186,7 +198,8 @@ TEST_P(PipelineProperty, ByteConservation)
         for (const auto &flushed : sink)
             account(flushed);
     }
-    account(partition.flush(FlushReason::release));
+    for (const auto &flushed : release(partition))
+        account(flushed);
 
     EXPECT_EQ(pushed, delivered + partition.bytesElided());
     EXPECT_EQ(pushed, partition.bytesPushed());
@@ -203,15 +216,14 @@ TEST_P(PipelineProperty, EntryAndPayloadInvariantsHoldThroughout)
     for (int i = 0; i < 2000; ++i) {
         partition.push(randomStore(rng, base), sink);
         ASSERT_LE(partition.entryCount(), cfg.queue_entries);
-        ASSERT_LE(partition.availablePayload(), cfg.max_payload);
+        ASSERT_LE(partition.window(0).availablePayload(), cfg.max_payload);
         if (!partition.empty()) {
             // The available payload register is exactly max minus the
             // packed cost of everything buffered.
-            FlushedPartition snapshot =
-                partition.flush(FlushReason::release);
             std::uint64_t cost = 0;
-            for (const QueueEntry &entry : snapshot.entries)
-                cost += entry.packedCost(cfg);
+            for (const FlushedPartition &snapshot : release(partition))
+                for (const QueueEntry &entry : snapshot.entries)
+                    cost += entry.packedCost(cfg);
             EXPECT_LE(cost, cfg.max_payload);
             // Re-push is unnecessary; one consistency probe per stream
             // position is enough.
@@ -225,7 +237,7 @@ TEST_P(PipelineProperty, WriteCombineDeliveryMatchesDirectDelivery)
     common::Rng rng(seed() ^ 0x4444);
     const Addr base = 0x40000000;
 
-    WriteCombineBuffer wc(0, 1, 64, 128);
+    WriteCombineBuffer wc(0, 1, 64);
     icn::PcieProtocol protocol(icn::PcieGen::gen4);
     FunctionalMemory direct, via_wc;
 

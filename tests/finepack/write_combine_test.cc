@@ -21,7 +21,7 @@ makeStore(Addr addr, std::uint32_t size, GpuId dst = 1)
 
 TEST(WriteCombineTest, SameLineStoresMerge)
 {
-    WriteCombineBuffer wc(0, 1, 4, 128);
+    WriteCombineBuffer wc(0, 1, 4);
     EXPECT_FALSE(wc.push(makeStore(0x1000, 8)).has_value());
     EXPECT_FALSE(wc.push(makeStore(0x1010, 8)).has_value());
     EXPECT_EQ(wc.lineCount(), 1u);
@@ -33,7 +33,7 @@ TEST(WriteCombineTest, SameLineStoresMerge)
 
 TEST(WriteCombineTest, SameAddressOverwriteCountsElided)
 {
-    WriteCombineBuffer wc(0, 1, 4, 128);
+    WriteCombineBuffer wc(0, 1, 4);
     wc.push(makeStore(0x1000, 8));
     wc.push(makeStore(0x1000, 8));
     EXPECT_EQ(wc.bytesElided(), 8u);
@@ -42,7 +42,7 @@ TEST(WriteCombineTest, SameAddressOverwriteCountsElided)
 
 TEST(WriteCombineTest, LruEvictionOnCapacity)
 {
-    WriteCombineBuffer wc(0, 1, 2, 128);
+    WriteCombineBuffer wc(0, 1, 2);
     wc.push(makeStore(0x1000, 8)); // line A
     wc.push(makeStore(0x2000, 8)); // line B
     wc.push(makeStore(0x1040, 8)); // hit A -> A becomes MRU
@@ -54,7 +54,7 @@ TEST(WriteCombineTest, LruEvictionOnCapacity)
 
 TEST(WriteCombineTest, FlushAllSortedAndEmpties)
 {
-    WriteCombineBuffer wc(0, 1, 8, 128);
+    WriteCombineBuffer wc(0, 1, 8);
     wc.push(makeStore(0x3000, 8));
     wc.push(makeStore(0x1000, 8));
     auto lines = wc.flushAll();
@@ -65,7 +65,7 @@ TEST(WriteCombineTest, FlushAllSortedAndEmpties)
 
 TEST(WriteCombineTest, LineMessageTransfersWholeLine)
 {
-    WriteCombineBuffer wc(0, 1, 4, 128);
+    WriteCombineBuffer wc(0, 1, 4);
     wc.push(makeStore(0x1000, 8));
     auto lines = wc.flushAll();
     icn::PcieProtocol protocol(icn::PcieGen::gen4);
@@ -81,7 +81,7 @@ TEST(WriteCombineTest, LineMessageTransfersWholeLine)
 
 TEST(WriteCombineTest, LineMessageDeliversOnlyWrittenRuns)
 {
-    WriteCombineBuffer wc(0, 1, 4, 128);
+    WriteCombineBuffer wc(0, 1, 4);
     Store a = makeStore(0x1000, 2);
     a.data = {1, 2};
     Store b = makeStore(0x1010, 2);
@@ -100,12 +100,12 @@ TEST(WriteCombineTest, LineMessageDeliversOnlyWrittenRuns)
 
 TEST(WriteCombineTest, WrongDestinationPanics)
 {
-    WriteCombineBuffer wc(0, 1, 4, 128);
+    WriteCombineBuffer wc(0, 1, 4);
     EXPECT_THROW(wc.push(makeStore(0x1000, 8, 2)), common::SimError);
 }
 
 TEST(WriteCombineTest, CrossLineStorePanics)
 {
-    WriteCombineBuffer wc(0, 1, 4, 128);
+    WriteCombineBuffer wc(0, 1, 4);
     EXPECT_THROW(wc.push(makeStore(0x1078, 16)), common::SimError);
 }

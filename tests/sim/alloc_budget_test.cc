@@ -146,13 +146,13 @@ PrintTo(const Budget &budget, std::ostream *os)
 // All traces: 4 GPUs, seed 1, PCIe 4.0.
 const Budget budgets[] = {
     {"pagerank_finepack", "pagerank", 0.02, sim::Paradigm::finepack, 0,
-     false, 75'939, 94'407},
+     false, 75'939, 5'358},
     {"pagerank_finepack_checked", "pagerank", 0.02,
-     sim::Paradigm::finepack, 0, true, 75'939, 178'172},
+     sim::Paradigm::finepack, 0, true, 75'939, 89'123},
     {"pagerank_p2p_stores", "pagerank", 0.02, sim::Paradigm::p2p_stores,
      0, false, 75'939, 7'700},
     {"hit_finepack_sub2", "hit", 0.02, sim::Paradigm::finepack, 2, false,
-     147'456, 1'918'784},
+     147'456, 1'476'420},
 };
 
 trace::WorkloadTrace
