@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "obs/flow.hh"
 #include "sim/driver.hh"
@@ -39,13 +40,26 @@ apps()
     return workloads::allWorkloadNames();
 }
 
-/** Problem-size multiplier: FINEPACK_BENCH_SCALE overrides. */
+/**
+ * Problem-size multiplier: FINEPACK_BENCH_SCALE, a number in
+ * [1e-6, 1000], overrides @p fallback. Every trace-driven bench calls
+ * this first, so it also checks FINEPACK_BENCH_JOBS and
+ * FINEPACK_BENCH_HEARTBEAT_NS: a bad value of any of the three exits 1
+ * with a message naming the variable and its range, before any
+ * simulation starts.
+ */
 inline double
 benchScale(double fallback = 1.0)
 {
-    if (const char *env = std::getenv("FINEPACK_BENCH_SCALE"))
-        return std::atof(env);
-    return fallback;
+    try {
+        sim::SweepRunner::defaultJobs();
+        sim::HealthHeartbeatGuard::intervalNs();
+        return common::envNumber("FINEPACK_BENCH_SCALE", fallback, 1e-6,
+                                 1e3);
+    } catch (const common::SimError &error) {
+        std::cerr << error.what() << '\n';
+        std::exit(1);
+    }
 }
 
 inline workloads::WorkloadParams

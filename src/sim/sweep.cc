@@ -1,7 +1,6 @@
 #include "sim/sweep.hh"
 
-#include <cstdlib>
-
+#include "common/parse.hh"
 #include "obs/health.hh"
 #include "sim/trace_cache.hh"
 
@@ -10,12 +9,7 @@ namespace fp::sim {
 unsigned
 SweepRunner::defaultJobs()
 {
-    if (const char *env = std::getenv("FINEPACK_BENCH_JOBS")) {
-        int parsed = std::atoi(env);
-        if (parsed > 0)
-            return static_cast<unsigned>(parsed);
-    }
-    return 1;
+    return common::envNumber("FINEPACK_BENCH_JOBS", 1u, 1u, max_jobs);
 }
 
 SweepRunner::SweepRunner(unsigned jobs) : _pool(jobs) {}
@@ -43,16 +37,20 @@ SweepRunner::attachHealth(obs::HealthMonitor *health)
         health->setSweepProgress(&_jobs_done, &_jobs_total);
 }
 
+std::uint64_t
+HealthHeartbeatGuard::intervalNs()
+{
+    return common::envNumber("FINEPACK_BENCH_HEARTBEAT_NS", std::uint64_t{0},
+                             std::uint64_t{0}, max_interval_ns);
+}
+
 HealthHeartbeatGuard::HealthHeartbeatGuard(SweepRunner &runner)
 {
-    const char *env = std::getenv("FINEPACK_BENCH_HEARTBEAT_NS");
-    if (!env)
-        return;
-    long long interval = std::atoll(env);
-    if (interval <= 0)
+    const std::uint64_t interval = intervalNs();
+    if (interval == 0)
         return;
     obs::HealthMonitor::Options options;
-    options.heartbeat_ns = static_cast<std::uint64_t>(interval);
+    options.heartbeat_ns = interval;
     _monitor = std::make_unique<obs::HealthMonitor>(options);
     runner.attachHealth(_monitor.get());
     _monitor->start();

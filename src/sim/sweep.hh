@@ -71,10 +71,13 @@ class SweepRunner
     /** @p jobs lanes; <= 1 means serial in-order execution. */
     explicit SweepRunner(unsigned jobs = defaultJobs());
 
+    /** Most lanes FINEPACK_BENCH_JOBS may ask for (no thread storms). */
+    static constexpr unsigned max_jobs = 256;
+
     /**
-     * Lane count from the FINEPACK_BENCH_JOBS environment variable
-     * (the record_baselines.sh -j flag exports it); defaults to 1 so
-     * plain bench invocations stay serial.
+     * Lane count from FINEPACK_BENCH_JOBS (record_baselines.sh -j
+     * exports it), a whole number in [1, max_jobs]; 1 when unset, so
+     * plain bench invocations stay serial. Any other value is fatal.
      */
     static unsigned defaultJobs();
 
@@ -119,7 +122,7 @@ class SweepRunner
 /**
  * Environment-gated sweep heartbeat (the bench harness's run-health
  * hook): when FINEPACK_BENCH_HEARTBEAT_NS is set to a positive
- * nanosecond interval, constructing the guard starts an
+ * nanosecond interval (at most one day), constructing the guard starts an
  * obs::HealthMonitor attached to @p runner's progress cells, emitting
  * `kind:"heartbeat"` JSON lines (jobs done/total, ETA, RSS) on stderr
  * until destruction. Without the variable the guard is inert -- bench
@@ -128,6 +131,12 @@ class SweepRunner
 class HealthHeartbeatGuard
 {
   public:
+    /** Longest FINEPACK_BENCH_HEARTBEAT_NS interval: one day. */
+    static constexpr std::uint64_t max_interval_ns = 86'400'000'000'000;
+
+    /** FINEPACK_BENCH_HEARTBEAT_NS in [0, max_interval_ns]; 0 if unset. */
+    static std::uint64_t intervalNs();
+
     explicit HealthHeartbeatGuard(SweepRunner &runner);
     ~HealthHeartbeatGuard();
 

@@ -12,8 +12,8 @@ signal, aborting, or running with a silent default; valid edge values
 must generate a trace.
 
 The numeric flags of replay, profile and racecheck follow the same
-rule, and any flag that takes a value exits 2 with usage text when it
-is the last word on the command line.
+rule (--flight-recorder=N included), and any flag that takes a value
+exits 2 with usage text when it is the last word on the command line.
 
 Usage: pcie_flag_smoke.py <fptrace-binary>
 
@@ -74,6 +74,14 @@ COMMAND_CASES = [
     ("racecheck", ["--seeds", "0"], 2),
     ("racecheck", ["--seeds", "4x"], 2),
     ("racecheck", ["--waive"], 2),
+    ("replay", ["--flight-recorder=abc"], 2),
+    ("replay", ["--flight-recorder=0"], 2),
+    ("replay", ["--flight-recorder=-4"], 2),
+    ("replay", ["--flight-recorder="], 2),
+    ("profile", ["--flight-recorder=1048577"], 2),
+    ("racecheck", ["--flight-recorder=16x"], 2),
+    ("replay", ["--flight-recorder=1"], 0),
+    ("replay", ["--flight-recorder=1048576"], 0),
     ("replay", ["--sample-ns", "1",
                 "--fabric-window-ns", "86400000000000"], 0),
     ("profile", ["--reps", "1", "--top", "0"], 0),

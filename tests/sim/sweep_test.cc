@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/sync.h"
 #include "sim/sweep.hh"
 #include "sim/trace_cache.hh"
@@ -143,8 +144,9 @@ TEST(SweepRunnerTest, DefaultJobsComesFromEnvironment)
     EXPECT_EQ(SweepRunner::defaultJobs(), 1u);
     setenv("FINEPACK_BENCH_JOBS", "6", 1);
     EXPECT_EQ(SweepRunner::defaultJobs(), 6u);
+    // Anything but a whole lane count in [1, max_jobs] is fatal.
     setenv("FINEPACK_BENCH_JOBS", "garbage", 1);
-    EXPECT_EQ(SweepRunner::defaultJobs(), 1u);
+    EXPECT_THROW(SweepRunner::defaultJobs(), common::SimError);
     unsetenv("FINEPACK_BENCH_JOBS");
 }
 

@@ -58,7 +58,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -66,6 +65,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -75,6 +75,7 @@
 #include "common/build_info.hh"
 #include "common/interrupt.hh"
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "obs/fatal.hh"
 #include "obs/flight_recorder.hh"
@@ -130,7 +131,8 @@ usage()
            "  --sample-ns, --fabric-window-ns >= 1; --heartbeat-ns,"
            " --stall-ns,\n"
            "  --wedge-ms >= 0; --reps, --seeds in [1, 10^6];"
-           " --top in [0, 10^6]\n"
+           " --top in [0, 10^6];\n"
+           "  --flight-recorder=N in [1, 2^20]\n"
            "a flag given without its value exits 2\n"
            "exit codes: 0 ok, 1 fatal, 2 usage, 3 panic, 86 invariant,\n"
            "            130 interrupted (SIGINT), 143 terminated"
@@ -153,6 +155,8 @@ constexpr std::uint64_t max_flag_ns = 86'400'000'000'000;
 constexpr std::uint32_t max_flag_ms = 86'400'000;
 /** Upper bound of --reps, --seeds and --top. */
 constexpr int max_flag_count = 1'000'000;
+/** Upper bound of the --flight-recorder=N ring: 2^20 slots. */
+constexpr std::size_t max_flight_ring = std::size_t{1} << 20;
 
 /**
  * True when the last word is a flag that takes a value (and so has
@@ -187,25 +191,18 @@ hasFlag(int argc, char **argv, const char *flag)
 }
 
 /**
- * The numeric flag @p flag (default @p fallback). Accepts only a whole
- * token that parses as a T in [lo, hi]: no sign on unsigned flags, no
- * trailing characters, no nan or inf. Anything else prints why and
- * returns false so the caller exits with usage().
+ * The numeric flag @p flag (default @p fallback), parsed by
+ * common::parseNumber as one whole T in [lo, hi]. Anything else prints
+ * why and returns false so the caller exits with usage().
  */
 template <typename T>
 bool
 parseNumber(int argc, char **argv, const char *flag, const char *fallback,
             T lo, T hi, T &value)
 {
-    const std::string text = argValue(argc, argv, flag, fallback);
-    const char *end = text.data() + text.size();
-    T parsed{};
-    auto [stop, error] = std::from_chars(text.data(), end, parsed);
-    if (error == std::errc() && stop == end && parsed >= lo &&
-        parsed <= hi) {
-        value = parsed;
+    const char *text = argValue(argc, argv, flag, fallback);
+    if (common::parseNumber(std::string_view(text), lo, hi, value))
         return true;
-    }
     std::cerr << "fptrace: " << flag << " must be a number in [" << lo
               << ", " << hi << "], not '" << text << "'\n";
     return false;
@@ -244,9 +241,16 @@ struct RunHealth
                 ring = obs::FlightRecorder::default_capacity;
             } else if (std::strncmp(argv[i], "--flight-recorder=",
                                     18) == 0) {
-                int n = std::atoi(argv[i] + 18);
-                ring = n > 0 ? static_cast<std::size_t>(n)
-                             : obs::FlightRecorder::default_capacity;
+                const char *text = argv[i] + 18;
+                if (!common::parseNumber(std::string_view(text),
+                                         std::size_t{1}, max_flight_ring,
+                                         ring)) {
+                    std::cerr << "fptrace: --flight-recorder=N needs N in"
+                                 " [1, "
+                              << max_flight_ring << "], not '" << text
+                              << "'\n";
+                    return false;
+                }
             }
         }
         heartbeat_out = argValue(argc, argv, "--heartbeat-out", "");
