@@ -28,8 +28,11 @@ FinePackConfig::validate() const
 FinePackConfig
 defaultConfig()
 {
-    // The member defaults are Table III (5 B sub-header: 1 GiB window).
     FinePackConfig config;
+    config.subheader_bytes = 5; // 30-bit offset => 1 GiB window
+    config.length_bits = 10;
+    config.max_payload = 4096;
+    config.queue_entries = 64;
     config.validate();
     return config;
 }

@@ -85,9 +85,6 @@ struct QueueEntry
     /** [first enabled byte, one past the last); (0, 0) when none is. */
     std::pair<std::uint32_t, std::uint32_t> writtenSpan() const;
 
-    /** First byte >= @p from whose enable is @p set, or entry_bytes. */
-    std::uint32_t nextByte(std::uint32_t from, bool set) const;
-
     /** Call @p visit(start, length) per enabled run, in byte order. */
     template <typename Visit>
     void
@@ -107,6 +104,10 @@ struct QueueEntry
      * @return the bytes whose enable was already set.
      */
     std::uint32_t merge(std::uint32_t offset, const icn::Store &store);
+
+  private:
+    /** First byte >= @p from whose enable is @p set, or entry_bytes. */
+    std::uint32_t nextByte(std::uint32_t from, bool set) const;
 };
 
 /** Why a window was flushed (for statistics / Figure analysis). */
