@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
 #include "common/types.hh"
 #include "finepack/config.hh"
 #include "finepack/remote_write_queue.hh"
