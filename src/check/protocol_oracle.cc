@@ -109,7 +109,8 @@ ProtocolOracle::windowFlushed(const finepack::FlushedPartition &flushed,
 }
 
 void
-ProtocolOracle::verifyMessage(const icn::WireMessage &msg)
+ProtocolOracle::verifyMessage(const icn::WireMessage &msg,
+                              const std::vector<icn::Store> &stores)
 {
     fp_assert(msg.kind == icn::MessageKind::finepack_packet,
               "oracle can only verify finepack_packet messages");
@@ -133,9 +134,9 @@ ProtocolOracle::verifyMessage(const icn::WireMessage &msg)
     // and data. Schedule-independent runs fold identical sequences.
     _digest.updateU64(msg.dst);
     _digest.updateU64(expected.window_base);
-    _digest.updateU64(msg.stores.size());
+    _digest.updateU64(stores.size());
 
-    for (const icn::Store &store : msg.stores) {
+    for (const icn::Store &store : stores) {
         _digest.updateU64(store.addr);
         _digest.updateU64(store.size);
         if (!store.data.empty())
@@ -189,7 +190,7 @@ ProtocolOracle::verifyMessage(const icn::WireMessage &msg)
     // Payload accounting: one sub-header per sub-packet plus the data,
     // DW-padded on the wire, and within the outer payload budget.
     std::uint64_t raw_payload =
-        data_bytes + msg.stores.size() * _config.subheader_bytes;
+        data_bytes + stores.size() * _config.subheader_bytes;
     if (msg.payload_bytes != common::alignUp(raw_payload, 4)) {
         fp_panic("oracle: wire payload ", msg.payload_bytes,
                  " bytes does not match the sub-header geometry (",

@@ -16,10 +16,12 @@
  *     (wrong-writer-wins), or a phantom byte fails immediately - and
  *     the flushed image is stashed as the expected outcome of the
  *     transaction about to be packetized.
- *  3. As a PacketizerObserver it gets every packetized wire message
- *     through packetEmitted(), and the message's disaggregated
- *     stores must reproduce the stashed image exactly: full coverage,
- *     no byte twice, correct values, every sub-packet inside the
+ *  3. As a PacketizerObserver it gets every packetized transaction and
+ *     its wire message through packetEmitted(). It de-packetizes the
+ *     transaction itself (a timing message carries only a store
+ *     count), and those stores must reproduce the stashed image
+ *     exactly: full coverage, no byte twice, correct values, every
+ *     sub-packet inside the
  *     window's offset range, and the payload accounting consistent
  *     with the sub-header geometry. This catches sub-packet splitting,
  *     offset-encoding, and byte-enable bugs that component tests miss.
@@ -35,6 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "check/digest.hh"
 #include "check/shadow_memory.hh"
@@ -59,21 +62,22 @@ class ProtocolOracle : public finepack::RwqObserver,
                        finepack::FlushReason reason) override;
 
     // ---- PacketizerObserver hook ---------------------------------------
-    /** Verify every emitted packet (see verifyMessage). */
+    /** Verify every emitted packet, de-packetized (see verifyMessage). */
     void
     packetEmitted(const finepack::FinePackTransaction &txn,
                   const icn::WireMessage &msg) override
     {
-        (void)txn;
-        verifyMessage(msg);
+        verifyMessage(msg, txn.unpack());
     }
 
     /**
-     * Verify one emitted finepack_packet wire message against the
-     * oldest outstanding flush for its destination (flushes packetize
-     * in FIFO order). Panics on any byte-level or structural mismatch.
+     * Verify one emitted finepack_packet wire message, whose
+     * de-packetized stores are @p stores, against the oldest
+     * outstanding flush for its destination (flushes packetize in FIFO
+     * order). Panics on any byte-level or structural mismatch.
      */
-    void verifyMessage(const icn::WireMessage &msg);
+    void verifyMessage(const icn::WireMessage &msg,
+                       const std::vector<icn::Store> &stores);
 
     /**
      * End-of-run check: every buffered byte must have flushed and every

@@ -17,6 +17,7 @@
 #define FP_COMMON_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -106,6 +107,73 @@ class LambdaEvent : public Event
     std::function<void()> _fn;
     /** Static attribution label (see Event::description()). */
     const char *_label;
+};
+
+/**
+ * Reusable one-shot events that each carry one value to a member
+ * function of their owner: a free list of as many Events as values
+ * were ever in flight at once, made a block at a time, so a component
+ * that schedules an event per message (a link's deliveries, an ingress
+ * port's drains) allocates no LambdaEvent and std::function per
+ * message. schedule() takes its sequence number at the call, through
+ * EventQueue::schedule(Event *, Tick), so the event runs where a
+ * lambda scheduled at that call with the same tick, priority and label
+ * would. The pool owns its events, so (as for any Event) it must
+ * outlive the queue entries that refer to them; an interrupted run's
+ * still-queued values are released with it.
+ */
+template <typename Owner, typename Value, void (Owner::*Handler)(Value)>
+class EventPool
+{
+  public:
+    /** @p label must be a string literal (see Event::description()). */
+    EventPool(Owner &owner, int priority, const char *label)
+        : _owner(owner), _priority(priority), _label(label)
+    {}
+
+    EventPool(const EventPool &) = delete;
+    EventPool &operator=(const EventPool &) = delete;
+
+    /** Hand @p value to the owner's handler at absolute tick @p when. */
+    void
+    schedule(EventQueue &queue, Value value, Tick when);
+
+    /** Events made so far: the most that were ever in flight at once. */
+    std::size_t size() const { return _events.size(); }
+
+  private:
+    class Carrier : public Event
+    {
+      public:
+        explicit Carrier(EventPool &pool)
+            : Event(pool._priority), _pool(pool)
+        {}
+
+        void
+        process() override
+        {
+            // Back on the free list before the handler runs, which may
+            // schedule into this same pool.
+            Value value = std::move(_value);
+            _pool._idle.push_back(this);
+            (_pool._owner.*Handler)(std::move(value));
+        }
+
+        const char *description() const override { return _pool._label; }
+
+      private:
+        friend class EventPool;
+
+        EventPool &_pool;
+        Value _value{};
+    };
+
+    Owner &_owner;
+    int _priority;
+    const char *_label;
+    /** Every event made; a deque never moves what it holds. */
+    std::deque<Carrier> _events;
+    std::vector<Carrier *> _idle;
 };
 
 /**
@@ -359,6 +427,22 @@ class EventQueue
     bool _shuffle = false;
     std::uint64_t _shuffle_seed = 0;
 };
+
+template <typename Owner, typename Value, void (Owner::*Handler)(Value)>
+void
+EventPool<Owner, Value, Handler>::schedule(EventQueue &queue, Value value,
+                                           Tick when)
+{
+    Carrier *event;
+    if (_idle.empty()) {
+        event = &_events.emplace_back(*this);
+    } else {
+        event = _idle.back();
+        _idle.pop_back();
+    }
+    event->_value = std::move(value);
+    queue.schedule(event, when);
+}
 
 /**
  * Scoped access declaration for the determinism tooling. Component

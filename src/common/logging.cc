@@ -104,10 +104,9 @@ panicImpl(const char *file, int line, const std::string &message)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &message)
+fatalImpl(const std::string &message)
 {
-    std::string full = std::string("fatal: ") + message + " @ " + file + ":" +
-                       std::to_string(line);
+    std::string full = "fatal: " + message;
     if (exceptionsEnabled())
         throw SimError(SimError::Kind::Fatal, full);
     std::cerr << full << std::endl;

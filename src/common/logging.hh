@@ -65,10 +65,11 @@ formatMessage(Args &&...args)
     return os.str();
 }
 
+/** A program bug: the message ends with the source location. */
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &message);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &message);
+/** A user error: the message alone, no source location. */
+[[noreturn]] void fatalImpl(const std::string &message);
 void warnImpl(const std::string &message);
 void informImpl(const std::string &message);
 
@@ -134,7 +135,7 @@ class ScopedTickContext
 
 #define fp_fatal(...)                                                        \
     ::fp::common::detail::fatalImpl(                                         \
-        __FILE__, __LINE__, ::fp::common::detail::formatMessage(__VA_ARGS__))
+        ::fp::common::detail::formatMessage(__VA_ARGS__))
 
 #define fp_warn(...)                                                         \
     ::fp::common::detail::warnImpl(                                          \

@@ -7,12 +7,19 @@
 namespace fp::finepack {
 
 FinePackTransaction
-Packetizer::packetize(const FlushedPartition &flushed) const
+Packetizer::packetize(const FlushedPartition &flushed)
+{
+    FinePackTransaction txn(_src, flushed.dst, flushed.window_base,
+                            _config);
+    fill(flushed, txn);
+    return txn;
+}
+
+void
+Packetizer::fill(const FlushedPartition &flushed, FinePackTransaction &txn)
 {
     fp_assert(!flushed.empty(), "packetizing an empty flush");
 
-    FinePackTransaction txn(_src, flushed.dst, flushed.window_base,
-                            _config);
     txn.reserve(flushed.entries.size());
     for (const QueueEntry &entry : flushed.entries) {
         entry.forEachRun([&](std::uint32_t start, std::uint32_t len) {
@@ -51,14 +58,15 @@ Packetizer::packetize(const FlushedPartition &flushed) const
     ++_packets;
     _sub_packets += txn.size();
     _stores_packed += flushed.packed_store_count;
-    return txn;
 }
 
 icn::WireMessagePtr
 Packetizer::toMessage(const FlushedPartition &flushed,
-                      const icn::PcieProtocol &protocol) const
+                      const icn::PcieProtocol &protocol)
 {
-    FinePackTransaction txn = packetize(flushed);
+    FinePackTransaction &txn = _txn;
+    txn.reset(flushed.dst, flushed.window_base);
+    fill(flushed, txn);
 
     // What the same runs would cost as standalone TLPs (the "write
     // combining alone" comparison of Section VI-A), plus the coarser
@@ -81,14 +89,16 @@ Packetizer::toMessage(const FlushedPartition &flushed,
         common::alignUp(txn.dataBytes() + txn.size() * full_subheader,
                         4);
 
-    auto msg = icn::makeWireMessage();
+    auto msg = _messages.make();
     msg->kind = icn::MessageKind::finepack_packet;
     msg->src = _src;
     msg->dst = flushed.dst;
     msg->payload_bytes = txn.wirePayloadBytes();
     msg->header_bytes = protocol.tlpOverhead();
     msg->data_bytes = txn.dataBytes();
-    msg->stores = txn.unpack();
+    msg->delivered_stores = txn.size();
+    if (txn.carriesData())
+        msg->stores = txn.unpack();
     msg->packed_store_count = flushed.packed_store_count;
     msg->timing.flush_reason = static_cast<std::uint8_t>(flushed.reason);
     msg->store_stamps = flushed.store_stamps;

@@ -7,7 +7,10 @@
  * entry becomes a sub-packet (sub-headers carry no byte enables, so
  * non-contiguous bytes must split). The receiver's de-packetizer step,
  * FinePackTransaction::unpack(), re-expands the transaction into plain
- * stores; toMessage() runs it so the wire message carries them.
+ * stores. toMessage() runs it only when the stores carry payload bytes
+ * (a functional run); a timing message carries the sub-packet count
+ * alone, and the protocol oracle de-packetizes the transaction its
+ * packetEmitted() hook is handed.
  */
 
 #ifndef FP_FINEPACK_PACKETIZER_HH
@@ -45,23 +48,25 @@ class Packetizer
 {
   public:
     Packetizer(GpuId src, const FinePackConfig &config)
-        : _src(src), _config(config)
+        : _src(src), _config(config), _txn(src, invalid_gpu, 0, config)
     {}
 
     /**
      * Packetize one flushed partition. The remote write queue's payload
      * accounting guarantees the result fits a single outer transaction.
      */
-    FinePackTransaction
-    packetize(const FlushedPartition &flushed) const;
+    FinePackTransaction packetize(const FlushedPartition &flushed);
 
     /**
-     * Packetize and wrap into a wire message using @p protocol for the
-     * outer TLP overhead accounting.
+     * Packetize into the packetizer's reused transaction and wrap it
+     * into a wire message from its message pool, using @p protocol for
+     * the outer TLP overhead accounting. Allocates nothing once the
+     * pool and the transaction have grown to the run's needs, unless
+     * the stores carry payload bytes.
      */
     icn::WireMessagePtr
     toMessage(const FlushedPartition &flushed,
-              const icn::PcieProtocol &protocol) const;
+              const icn::PcieProtocol &protocol);
 
     GpuId src() const { return _src; }
     const FinePackConfig &config() const { return _config; }
@@ -116,15 +121,21 @@ class Packetizer
     }
 
   private:
+    /** Fill the empty @p txn with the sub-packets of @p flushed. */
+    void fill(const FlushedPartition &flushed, FinePackTransaction &txn);
+
     GpuId _src;
     FinePackConfig _config;
     std::vector<PacketizerObserver *> _observers;
-    mutable std::uint64_t _packets = 0;
-    mutable std::uint64_t _sub_packets = 0;
-    mutable std::uint64_t _stores_packed = 0;
-    mutable std::uint64_t _wc_alone_bytes = 0;
-    mutable std::uint64_t _wc_line_bytes = 0;
-    mutable std::uint64_t _uncompressed_bytes = 0;
+    /** toMessage()'s transaction, reset per flush. */
+    FinePackTransaction _txn;
+    icn::MessagePool _messages;
+    std::uint64_t _packets = 0;
+    std::uint64_t _sub_packets = 0;
+    std::uint64_t _stores_packed = 0;
+    std::uint64_t _wc_alone_bytes = 0;
+    std::uint64_t _wc_line_bytes = 0;
+    std::uint64_t _uncompressed_bytes = 0;
 };
 
 } // namespace fp::finepack

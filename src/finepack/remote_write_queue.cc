@@ -1,7 +1,6 @@
 #include "finepack/remote_write_queue.hh"
 
 #include <algorithm>
-#include <iterator>
 
 #include "check/invariant.hh"
 #include "common/bitutil.hh"
@@ -280,10 +279,11 @@ RwqWindow::take(GpuId dst)
         _base_register == invalid_addr
             ? 0
             : (_base_register << _config.offsetBits());
-    // Move the lines out but keep the slots: the window's storage is
-    // reserved once, and the flush owns an exactly sized copy.
-    result.entries.assign(std::make_move_iterator(_entries.begin()),
-                          std::make_move_iterator(_entries.end()));
+    // The lines leave with their storage; the spare takes its place.
+    result.entries.swap(_entries);
+    _entries.swap(_spare);
+    if (_entries.capacity() < _entry_budget)
+        _entries.reserve(_entry_budget);
     result.packed_store_count = _buffered_stores;
     result.store_stamps = std::move(_stamps);
 
@@ -294,12 +294,23 @@ RwqWindow::take(GpuId dst)
                   return a.line_addr < b.line_addr;
               });
 
-    _entries.clear();
     _stamps.clear();
     _base_register = invalid_addr;
     _available_payload = _config.max_payload;
     _buffered_stores = 0;
     return result;
+}
+
+bool
+RwqWindow::recycle(std::vector<QueueEntry> &lines)
+{
+    if (_spare.capacity() != 0)
+        return false;
+    fp_assert(lines.capacity() >= _entry_budget,
+              "recycled line storage is smaller than the window");
+    lines.clear();
+    _spare.swap(lines);
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -469,6 +480,16 @@ RwqPartition::flushIfConflict(Addr addr, std::uint32_t size,
         return false;
     flush(reason, sink);
     return true;
+}
+
+void
+RwqPartition::recycle(FlushedPartition &flushed)
+{
+    for (RwqWindow &window : _windows) {
+        if (window.recycle(flushed.entries))
+            break;
+    }
+    flushed.entries.clear();
 }
 
 const RwqWindow &

@@ -234,8 +234,20 @@ class RwqWindow
     /** Does any buffered byte overlap [addr, addr+size)? */
     bool conflicts(Addr addr, std::uint32_t size) const;
 
-    /** Remove and return everything buffered (entries sorted). */
+    /**
+     * Remove and return everything buffered (entries sorted). The
+     * flush takes the window's line storage with it, and the spare a
+     * sent flush handed back through recycle() takes its place; with
+     * no spare, the window reserves new storage.
+     */
     FlushedPartition take(GpuId dst);
+
+    /**
+     * Keep the storage of @p lines (a sent flush's entries) for the
+     * next take(), unless the window already holds a spare.
+     * @return whether it took the storage.
+     */
+    bool recycle(std::vector<QueueEntry> &lines);
 
   private:
     /** The slot holding @p line, or _entries.size() on a miss. */
@@ -248,8 +260,10 @@ class RwqWindow
     std::uint64_t _available_payload;
     std::uint64_t _buffered_stores = 0;
 
-    /** SRAM slots, reserved once to the budget; found by tag scan. */
+    /** SRAM slots, reserved to the budget; found by tag scan. */
     std::vector<QueueEntry> _entries;
+    /** Empty storage for the next take(), recycled from a sent flush. */
+    std::vector<QueueEntry> _spare;
     /** Issue stamps of buffered stores (latency attribution only). */
     std::vector<obs::StoreStamp> _stamps;
 };
@@ -294,6 +308,14 @@ class RwqPartition
     bool flushIfConflict(Addr addr, std::uint32_t size,
                          FlushReason reason,
                          std::vector<FlushedPartition> &sink);
+
+    /**
+     * Hand a sent flush's line storage back to a window of this
+     * partition that lacks a spare (all windows share one budget), so
+     * the next flush swaps storage instead of copying. Leaves
+     * @p flushed without entries.
+     */
+    void recycle(FlushedPartition &flushed);
 
     bool empty() const { return entryCount() == 0; }
     std::size_t entryCount() const { return sum(&RwqWindow::entryCount); }

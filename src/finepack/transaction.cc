@@ -1,5 +1,7 @@
 #include "finepack/transaction.hh"
 
+#include <algorithm>
+
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 
@@ -27,6 +29,23 @@ FinePackTransaction::append(Addr addr, std::uint32_t length,
     _payload += cost;
     _data_bytes += length;
     _subs.push_back(SubPacket{offset, length, std::move(data)});
+}
+
+void
+FinePackTransaction::reset(GpuId dst, Addr base)
+{
+    _dst = dst;
+    _base = base;
+    _subs.clear();
+    _payload = 0;
+    _data_bytes = 0;
+}
+
+bool
+FinePackTransaction::carriesData() const
+{
+    return std::any_of(_subs.begin(), _subs.end(),
+                       [](const SubPacket &sub) { return !sub.data.empty(); });
 }
 
 std::uint64_t

@@ -52,6 +52,12 @@ class FinePackTransaction
     /** Pre-size the sub-packet vector (>= one sub-packet per entry). */
     void reserve(std::size_t n) { _subs.reserve(n); }
 
+    /**
+     * Empty the transaction for reuse toward @p dst at base address
+     * @p base, keeping the sub-packet vector's storage.
+     */
+    void reset(GpuId dst, Addr base);
+
     GpuId src() const { return _src; }
     GpuId dst() const { return _dst; }
     Addr baseAddr() const { return _base; }
@@ -71,6 +77,9 @@ class FinePackTransaction
     /** Number of sub-packets. */
     std::size_t size() const { return _subs.size(); }
     bool empty() const { return _subs.empty(); }
+
+    /** Does any sub-packet carry data bytes (a functional run)? */
+    bool carriesData() const;
 
     /**
      * Disaggregate into plain stores (the de-packetizer operation):

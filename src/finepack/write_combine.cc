@@ -76,9 +76,9 @@ WriteCombineBuffer::flushAll()
 
 icn::WireMessagePtr
 WriteCombineBuffer::lineToMessage(const WcLine &line,
-                                  const icn::PcieProtocol &protocol) const
+                                  const icn::PcieProtocol &protocol)
 {
-    auto msg = icn::makeWireMessage();
+    auto msg = _messages.make();
     msg->kind = icn::MessageKind::write_combine_line;
     msg->src = _src;
     msg->dst = _dst;
@@ -89,14 +89,15 @@ WriteCombineBuffer::lineToMessage(const WcLine &line,
     msg->packed_store_count = line.folded;
 
     // The wire carries the whole line, but only the written bytes are
-    // semantically delivered (the receiver applies byte enables); emit
-    // one store per contiguous run so functional state stays correct.
+    // semantically delivered (the receiver applies byte enables): one
+    // store per contiguous run, whose records a functional run needs.
+    msg->delivered_stores = line.entry.runCount();
+    if (!line.entry.hasData())
+        return msg;
     line.entry.forEachRun([&](std::uint32_t start, std::uint32_t len) {
         icn::Store store(line.entry.line_addr + start, len, _src, _dst);
-        if (line.entry.hasData()) {
-            store.data.assign(line.entry.data.begin() + start,
-                              line.entry.data.begin() + start + len);
-        }
+        store.data.assign(line.entry.data.begin() + start,
+                          line.entry.data.begin() + start + len);
         msg->stores.push_back(std::move(store));
     });
     return msg;

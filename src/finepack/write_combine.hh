@@ -56,10 +56,13 @@ class WriteCombineBuffer
     /** Flush all buffered lines (synchronization), in address order. */
     std::vector<WcLine> flushAll();
 
-    /** Wrap a flushed line into a full-line write message. */
+    /**
+     * Wrap a flushed line into a full-line write message from this
+     * buffer's message pool. It delivers one store per byte-enable
+     * run, whose records it carries only when the line holds data.
+     */
     icn::WireMessagePtr lineToMessage(const WcLine &line,
-                               const icn::PcieProtocol &protocol)
-        const;
+                                      const icn::PcieProtocol &protocol);
 
     std::size_t lineCount() const { return _slots.size(); }
     std::uint64_t storesPushed() const { return _stores_pushed; }
@@ -79,6 +82,7 @@ class WriteCombineBuffer
 
     /** The buffered lines, reserved once to the capacity. */
     std::vector<Slot> _slots;
+    icn::MessagePool _messages;
 
     std::uint64_t _stores_pushed = 0;
     std::uint64_t _bytes_elided = 0;

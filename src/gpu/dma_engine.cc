@@ -48,7 +48,7 @@ DmaEngine::copy(GpuId dst, const icn::AddrRange &range)
                 std::uint64_t chunk =
                     std::min<std::uint64_t>(remaining, _chunk_bytes);
 
-                auto msg = icn::makeWireMessage();
+                auto msg = _messages.make();
                 msg->kind = icn::MessageKind::dma_chunk;
                 msg->src = _self;
                 msg->dst = dst;

@@ -46,6 +46,7 @@ class DmaEngine : public common::SimObject
     std::uint64_t _chunk_bytes;
     /** Software issue path serializes on the host/runtime side. */
     Tick _api_busy_until = 0;
+    icn::MessagePool _messages;
 
     common::Scalar _copies;
     common::Scalar _bytes;

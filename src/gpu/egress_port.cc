@@ -6,6 +6,7 @@
 #include "check/protocol_oracle.hh"
 #include "common/bitutil.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/profiler.hh"
 #include "obs/trace_event.hh"
 
 namespace fp::gpu {
@@ -208,7 +209,7 @@ EgressPort::issueStores(const std::vector<icn::Store> &stores,
     for (GpuId dst = 0; dst < _num_gpus; ++dst) {
         if (dst == _self)
             continue;
-        auto msg = icn::makeWireMessage();
+        auto msg = _messages.make();
         msg->kind = icn::MessageKind::raw_store;
         msg->src = _self;
         msg->dst = dst;
@@ -227,11 +228,13 @@ EgressPort::issueStores(const std::vector<icn::Store> &stores,
             msg->header_bytes += _protocol.tlpOverhead();
             msg->data_bytes += store.size;
             ++msg->packed_store_count;
-            msg->stores.push_back(store);
+            ++msg->delivered_stores;
+            if (!store.data.empty())
+                msg->stores.push_back(store);
             if (_latency)
                 msg->store_stamps.push_back({curTick(), store.size});
         }
-        if (msg->stores.empty())
+        if (msg->packed_store_count == 0)
             continue;
         ++_messages_sent;
         _stores_folded += static_cast<double>(msg->packed_store_count);
@@ -262,7 +265,7 @@ EgressPort::issueAligned(const icn::Store &store)
                    _rwq_labels[store.dst].c_str());
         _flush_scratch.clear();
         _rwq->push(store, _flush_scratch);
-        for (const auto &flushed : _flush_scratch)
+        for (auto &flushed : _flush_scratch)
             if (!flushed.empty())
                 sendFlushed(flushed);
         if (_flush_timeout > 0) {
@@ -298,7 +301,7 @@ EgressPort::issueAtomic(const icn::Store &store)
         _rwq->flushIfConflict(store.dst, store.addr, store.size,
                               finepack::FlushReason::atomic_conflict,
                               _flush_scratch);
-        for (const auto &flushed : _flush_scratch)
+        for (auto &flushed : _flush_scratch)
             if (!flushed.empty())
                 sendFlushed(flushed);
     } else if (_mode == EgressMode::write_combine) {
@@ -346,7 +349,7 @@ EgressPort::notifyRemoteLoad(GpuId dst, Addr addr, std::uint32_t size)
         _rwq->flushIfConflict(dst, addr, size,
                               finepack::FlushReason::load_conflict,
                               _flush_scratch);
-        for (const auto &flushed : _flush_scratch)
+        for (auto &flushed : _flush_scratch)
             if (!flushed.empty())
                 sendFlushed(flushed);
     } else if (_mode == EgressMode::write_combine) {
@@ -358,7 +361,7 @@ EgressPort::notifyRemoteLoad(GpuId dst, Addr addr, std::uint32_t size)
 void
 EgressPort::sendRaw(const icn::Store &store, icn::MessageKind kind)
 {
-    auto msg = icn::makeWireMessage();
+    auto msg = _messages.make();
     msg->kind = kind;
     msg->src = _self;
     msg->dst = store.dst;
@@ -366,7 +369,9 @@ EgressPort::sendRaw(const icn::Store &store, icn::MessageKind kind)
     msg->header_bytes = _protocol.tlpOverhead();
     msg->data_bytes = store.size;
     msg->packed_store_count = 1;
-    msg->stores.push_back(store);
+    msg->delivered_stores = 1;
+    if (!store.data.empty())
+        msg->stores.push_back(store);
     if (_latency)
         msg->store_stamps.push_back({curTick(), store.size});
 
@@ -392,6 +397,7 @@ EgressPort::setProbes(const obs::Probes &probes)
 {
     _latency = probes.latency;
     _recorder = probes.recorder;
+    _profiler = probes.profiler;
     if (_mode != EgressMode::finepack)
         return;
     if (_stage_tracer) {
@@ -408,8 +414,9 @@ EgressPort::setProbes(const obs::Probes &probes)
 }
 
 void
-EgressPort::sendFlushed(const finepack::FlushedPartition &flushed)
+EgressPort::sendFlushed(finepack::FlushedPartition &flushed)
 {
+    obs::Profiler::Scope scope(_profiler, "egress.send_flushed");
     common::AccessRecorder(eventQueue())
         .write(_packetizer.get(), _packetizer_label.c_str());
     icn::WireMessagePtr msg = _packetizer->toMessage(flushed, _protocol);
@@ -422,6 +429,7 @@ EgressPort::sendFlushed(const finepack::FlushedPartition &flushed)
         _recorder->record(obs::FlightKind::rwq_flush, curTick(),
                           finepack::toString(flushed.reason),
                           flushed.entries.size(), flushed.dst);
+    _rwq->partition(flushed.dst).recycle(flushed);
     _fabric.inject(msg);
 }
 
@@ -462,7 +470,7 @@ EgressPort::timeoutFired(GpuId dst)
         _flush_scratch.clear();
         _rwq->partition(dst).flush(finepack::FlushReason::release,
                                    _flush_scratch);
-        for (const auto &flushed : _flush_scratch) {
+        for (auto &flushed : _flush_scratch) {
             if (!flushed.empty()) {
                 ++_timeout_flushes;
                 sendFlushed(flushed);

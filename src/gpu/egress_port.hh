@@ -108,7 +108,9 @@ class EgressPort : public common::SimObject
      * latency collector stores carry their issue tick so the ingress
      * side can attribute residency and end-to-end latency. The flight
      * recorder gets one `rwq_flush` record per window flush (reason,
-     * entries, dst; docs/run_health.md).
+     * entries, dst; docs/run_health.md). The profiler gets one
+     * `egress.send_flushed` scope per flush sent (packetize + inject;
+     * docs/profiling.md).
      */
     void setProbes(const obs::Probes &probes);
 
@@ -135,7 +137,11 @@ class EgressPort : public common::SimObject
     void issueAligned(const icn::Store &store);
     void issueAtomic(const icn::Store &store);
     void sendRaw(const icn::Store &store, icn::MessageKind kind);
-    void sendFlushed(const finepack::FlushedPartition &flushed);
+    /**
+     * Packetize and inject @p flushed, then hand its line storage back
+     * to its partition (the flush keeps no entries).
+     */
+    void sendFlushed(finepack::FlushedPartition &flushed);
     void sendWcLine(GpuId dst, const finepack::WcLine &line);
     void armTimeout(GpuId dst);
     void timeoutFired(GpuId dst);
@@ -151,6 +157,9 @@ class EgressPort : public common::SimObject
     std::unique_ptr<finepack::Packetizer> _packetizer;
     obs::LatencyCollector *_latency = nullptr;
     obs::FlightRecorder *_recorder = nullptr;
+    obs::Profiler *_profiler = nullptr;
+    /** Raw-P2P and atomic messages. */
+    icn::MessagePool _messages;
     /** RWQ + packetizer trace adapter (finepack mode, tracer attached). */
     std::unique_ptr<StageTracer> _stage_tracer;
     /** One write-combine buffer per destination (index = dst). */

@@ -11,7 +11,10 @@ namespace fp::gpu {
 IngressPort::IngressPort(const std::string &name,
                          common::EventQueue &queue, GpuId self,
                          const GpuConfig &config)
-    : SimObject(name, queue), _self(self), _config(config)
+    : SimObject(name, queue),
+      _self(self),
+      _config(config),
+      _drains(*this, common::Event::prio_default, "ingress.drain")
 {
     stats().registerScalar("messages", &_messages, "messages received");
     stats().registerScalar("stores", &_stores, "stores delivered to L2");
@@ -25,7 +28,7 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
     common::AccessRecorder(eventQueue()).write(this, name().c_str());
 
     ++_messages;
-    _stores += static_cast<double>(msg->stores.size());
+    _stores += static_cast<double>(msg->delivered_stores);
     _bytes += static_cast<double>(msg->data_bytes);
 
     if (_flows)
@@ -69,7 +72,7 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
                           {"data_bytes",
                            static_cast<double>(msg->data_bytes)},
                           {"stores",
-                           static_cast<double>(msg->stores.size())},
+                           static_cast<double>(msg->delivered_stores)},
                           {"src", static_cast<double>(msg->src)});
         if (msg->timing.flow_id != 0) {
             _tracer->flowEnd(obs::tracePidGpu(_self), obs::lane_ingress,
@@ -79,12 +82,14 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
 
     // Always schedule the drain-completion event so that running the
     // event queue dry implies all ingress buffers have emptied.
-    eventQueue().schedule(
-        [this, msg]() {
-            if (_delivered_cb)
-                _delivered_cb(msg);
-        },
-        _busy_until, common::Event::prio_default, "ingress.drain");
+    _drains.schedule(eventQueue(), msg, _busy_until);
+}
+
+void
+IngressPort::drained(icn::WireMessagePtr msg)
+{
+    if (_delivered_cb)
+        _delivered_cb(msg);
 }
 
 } // namespace fp::gpu

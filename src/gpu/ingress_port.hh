@@ -73,10 +73,17 @@ class IngressPort : public common::SimObject
     { return static_cast<std::uint64_t>(_bytes.value()); }
 
   private:
+    /** A message finished draining (the `ingress.drain` event). */
+    void drained(icn::WireMessagePtr msg);
+
     GpuId _self;
     GpuConfig _config;
     FunctionalMemory *_memory = nullptr;
     DeliveredFn _delivered_cb;
+    /** One reusable `ingress.drain` event per message draining. */
+    common::EventPool<IngressPort, icn::WireMessagePtr,
+                      &IngressPort::drained>
+        _drains;
     obs::TraceSink *_tracer = nullptr;
     obs::LatencyCollector *_latency = nullptr;
     obs::FlowCollector *_flows = nullptr;

@@ -12,7 +12,8 @@ Link::Link(const std::string &name, common::EventQueue &queue,
     : SimObject(name, queue),
       _bytes_per_tick(bytes_per_tick),
       _latency(latency),
-      _deliver(std::move(deliver))
+      _deliver(std::move(deliver)),
+      _arrivals(*this, common::Event::prio_arrival, "link.deliver")
 {
     fp_assert(_bytes_per_tick > 0.0, "link bandwidth must be positive");
     stats().registerScalar("payload_bytes", &_payload_bytes,
@@ -167,13 +168,14 @@ Link::transmit(const WireMessagePtr &msg,
     if (on_transmit)
         on_transmit();
 
-    Tick arrive = _busy_until + _latency;
-    eventQueue().schedule(
-        [this, msg]() {
-            if (_deliver)
-                _deliver(msg);
-        },
-        arrive, common::Event::prio_arrival, "link.deliver");
+    _arrivals.schedule(eventQueue(), msg, _busy_until + _latency);
+}
+
+void
+Link::arrive(WireMessagePtr msg)
+{
+    if (_deliver)
+        _deliver(msg);
 }
 
 std::uint64_t

@@ -139,11 +139,15 @@ class Link : public common::SimObject
            Tick enqueued);
     /** Start any waiting messages that now fit the credit budget. */
     void drainWaiting();
+    /** A message fully arrived (the `link.deliver` event). */
+    void arrive(WireMessagePtr msg);
 
     double _bytes_per_tick;
     Tick _latency;
     DeliverFn _deliver;
     Tick _busy_until = 0;
+    /** One reusable `link.deliver` event per message on the wire. */
+    common::EventPool<Link, WireMessagePtr, &Link::arrive> _arrivals;
 
     /** A credit-stalled message and the tick it was enqueued. */
     struct Pending

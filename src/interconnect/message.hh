@@ -60,7 +60,19 @@ struct WireMessage
     /** Bytes of real store data inside the payload. */
     std::uint64_t data_bytes = 0;
 
-    /** The individual stores delivered by this message (disaggregated). */
+    /**
+     * Stores the receiver's de-packetizer delivers to memory: one per
+     * sub-packet of a FinePack packet, per store of a raw-P2P batch or
+     * atomic, per byte-enable run of a write-combined line; 0 for a
+     * DMA chunk.
+     */
+    std::uint64_t delivered_stores = 0;
+
+    /**
+     * The delivered stores themselves, kept only when they carry
+     * payload bytes (functional runs, where a FunctionalMemory at
+     * ingress applies them). Timing runs leave it empty.
+     */
     std::vector<Store> stores;
 
     /** For dma_chunk messages: the copied address range. */
@@ -83,12 +95,35 @@ struct WireMessage
 
 using WireMessagePtr = std::shared_ptr<WireMessage>;
 
-/** Sole allocation point for wire messages (the seam a pool replaces). */
-inline WireMessagePtr
-makeWireMessage()
+/**
+ * Recycles the storage of the wire messages one message source of a
+ * run makes (a packetizer, an egress port, a write-combining buffer, a
+ * DMA engine). Blocks come from slabs that double in size up to a cap,
+ * so a run makes a few allocations per thousand messages it has in
+ * flight at its peak instead of one per message. Each message is a
+ * fresh, value-initialized WireMessage; only its block is reused. The
+ * free list is shared with every message the pool made, so a message
+ * that outlives its source (an interrupted run tears the components
+ * down with deliveries still queued) returns its block safely, and
+ * the slabs are freed with the last of them.
+ */
+class MessagePool
 {
-    return std::make_shared<WireMessage>();
-}
+  public:
+    MessagePool();
+
+    /** A new message whose block returns here when its last handle drops. */
+    WireMessagePtr make();
+
+  private:
+    /** Free blocks, and the slabs they were carved from. */
+    class FreeList;
+    /** The std::allocate_shared allocator that draws from a FreeList. */
+    template <typename T>
+    struct Allocator;
+
+    std::shared_ptr<FreeList> _free;
+};
 
 } // namespace fp::icn
 

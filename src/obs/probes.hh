@@ -16,6 +16,7 @@ namespace fp::obs {
 class FlightRecorder;
 class FlowCollector;
 class LatencyCollector;
+class Profiler;
 class TraceSink;
 
 /** Nullable, caller-owned collectors handed to pipeline components. */
@@ -29,6 +30,8 @@ struct Probes
     FlowCollector *flows = nullptr;
     /** Run-health ring records for flushes and injects. */
     FlightRecorder *recorder = nullptr;
+    /** Host-time scopes below the event that issued the stores (egress). */
+    Profiler *profiler = nullptr;
 };
 
 } // namespace fp::obs

@@ -90,8 +90,12 @@ Profiler::bucketFor(const char *label)
 void
 Profiler::pushFrame(const char *label, bool is_scope)
 {
+    // A frame above a timeline frame is itself one unless it is an
+    // event, so no event is open below a timeline frame.
+    const bool timeline =
+        is_scope && (_stack.empty() || _stack.back().timeline);
     _stack.push_back(
-        Frame{bucketFor(label), nowNs(), /*child_ns=*/0, is_scope});
+        Frame{bucketFor(label), nowNs(), /*child_ns=*/0, timeline});
 }
 
 void
@@ -113,7 +117,7 @@ Profiler::popFrame()
     if (!_stack.empty())
         _stack.back().child_ns += dur;
 
-    if (frame.is_scope) {
+    if (frame.timeline) {
         if (_slices.size() < max_slices) {
             _slices.push_back(Slice{bucket->label,
                                     frame.start_ns - _origin_ns, dur});

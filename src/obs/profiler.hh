@@ -65,7 +65,9 @@ class Profiler : public common::EventQueueObserver
      * Inert when @p profiler is null, so call sites need no branch.
      * Events executing inside the scope nest under it: the scope's
      * *self* time is exactly the driver/queue overhead no handler
-     * accounts for. @p label must be a string literal.
+     * accounts for. A scope opened inside an event handler (one per
+     * flush, say) aggregates only; the host timeline keeps the
+     * driver's scopes. @p label must be a string literal.
      */
     class Scope
     {
@@ -171,7 +173,8 @@ class Profiler : public common::EventQueueObserver
         std::uint64_t start_ns = 0;
         /** Wall ns spent in already-closed nested frames. */
         std::uint64_t child_ns = 0;
-        bool is_scope = false;
+        /** A scope with no event open below it: retain a slice. */
+        bool timeline = false;
     };
 
     /** A retained manual-scope slice for the trace timeline. */

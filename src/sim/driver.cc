@@ -289,7 +289,7 @@ SimulationDriver::runEventDriven(const trace::WorkloadTrace &trace,
     // One probe bundle for the fabric and every port; each component
     // keeps the collectors it reports to.
     const obs::Probes probes{tracer, _config.latency, _config.flows,
-                             _config.recorder};
+                             _config.recorder, _config.profiler};
     if (probes.latency)
         probes.latency->beginRun(gpus);
     if (probes.flows)

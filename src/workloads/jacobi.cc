@@ -8,21 +8,41 @@
 
 namespace fp::workloads {
 
+namespace {
+
+/** Rows at scale 1, and the fewest rows at any scale. */
+constexpr double rows_at_scale_1 = 262144;
+constexpr std::uint64_t min_rows = 4096;
+/** Every GPU's rows are a whole number of lines (16 doubles). */
+constexpr std::uint64_t line_rows = 16;
+
+} // namespace
+
 void
 JacobiWorkload::setup(const WorkloadParams &params)
 {
     _params = params;
-    auto n = static_cast<std::uint64_t>(262144 * params.scale);
-    n = std::max<std::uint64_t>(n, 4096);
+    auto n = static_cast<std::uint64_t>(rows_at_scale_1 * params.scale);
+    n = std::max<std::uint64_t>(n, min_rows);
     // Keep partition boundaries cache-line aligned (16 doubles), as a
     // real allocator/partitioner would; halo pushes then coalesce into
     // full 128 B lines.
-    n = n / (16 * params.num_gpus) * (16 * params.num_gpus);
+    n = n / (line_rows * params.num_gpus) * (line_rows * params.num_gpus);
     std::uint64_t half_band = 128;
 
     _system = makeBandedSystem(n, half_band, params.seed);
     _x.assign(n, 0.0);
     _x_next.assign(n, 0.0);
+}
+
+double
+JacobiWorkload::minScale(std::uint32_t num_gpus) const
+{
+    // Rounding the rows down to whole lines per GPU leaves none unless
+    // every GPU gets at least one line.
+    const std::uint64_t needed = line_rows * num_gpus;
+    return needed > min_rows ? static_cast<double>(needed) / rows_at_scale_1
+                             : 0.0;
 }
 
 trace::IterationWork

@@ -24,6 +24,7 @@ class JacobiWorkload : public Workload
     const char *commPattern() const override { return "peer-to-peer"; }
 
     void setup(const WorkloadParams &params) override;
+    double minScale(std::uint32_t num_gpus) const override;
     std::uint32_t numIterations() const override { return 8; }
     trace::IterationWork runIteration(std::uint32_t it) override;
 

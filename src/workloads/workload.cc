@@ -1,5 +1,7 @@
 #include "workloads/workload.hh"
 
+#include <sstream>
+
 #include "common/logging.hh"
 #include "workloads/als.hh"
 #include "workloads/ct.hh"
@@ -12,9 +14,24 @@
 
 namespace fp::workloads {
 
+std::string
+Workload::sizeError(const WorkloadParams &params) const
+{
+    const double min_scale = minScale(params.num_gpus);
+    if (params.scale >= min_scale)
+        return {};
+    std::ostringstream os;
+    os << name() << " is too small for " << params.num_gpus
+       << " GPUs at scale " << params.scale
+       << "; the smallest scale that works is " << min_scale;
+    return os.str();
+}
+
 trace::WorkloadTrace
 Workload::generateTrace(const WorkloadParams &params)
 {
+    if (std::string error = sizeError(params); !error.empty())
+        fp_fatal(error);
     setup(params);
 
     trace::WorkloadTrace trace;

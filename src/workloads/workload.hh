@@ -47,6 +47,24 @@ class Workload
     /** (Re-)initialize datasets and algorithm state. Deterministic. */
     virtual void setup(const WorkloadParams &params) = 0;
 
+    /**
+     * The smallest scale at which setup() can share the problem among
+     * @p num_gpus GPUs (0 when every scale works).
+     */
+    virtual double
+    minScale(std::uint32_t num_gpus) const
+    {
+        (void)num_gpus;
+        return 0.0;
+    }
+
+    /**
+     * Why @p params is a problem too small for its GPU count, naming
+     * the workload, the GPU count and the smallest scale that works;
+     * empty when it is not. generateTrace() fails with this message.
+     */
+    std::string sizeError(const WorkloadParams &params) const;
+
     virtual std::uint32_t numIterations() const = 0;
 
     /**

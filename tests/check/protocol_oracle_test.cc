@@ -3,10 +3,11 @@
  *
  * The oracle's job is to catch packetization bugs that component tests
  * miss, so half of these tests are mutation tests: run a correct
- * RWQ-to-packetizer pipeline, tamper with the emitted message the way a
- * buggy packetizer would (wrong offset, merged runs, dropped or
- * duplicated sub-packets, stale data, bad payload accounting), and
- * assert the oracle rejects each mutation.
+ * RWQ-to-packetizer pipeline on stores that carry payload (so the
+ * message carries its de-packetized stores), tamper with the emitted
+ * message the way a buggy packetizer would (wrong offset, merged runs,
+ * dropped or duplicated sub-packets, stale data, bad payload
+ * accounting), and assert the oracle rejects each mutation.
  */
 
 #include <gtest/gtest.h>
@@ -79,7 +80,7 @@ TEST(ProtocolOracleTest, VerifiesCorrectPipeline)
         makeStore(0x1010, 4),
         makeStore(0x2040, 16),
     });
-    pipe.oracle.verifyMessage(*msg);
+    pipe.oracle.verifyMessage(*msg, msg->stores);
     pipe.oracle.verifyDrained();
 
     EXPECT_EQ(pipe.oracle.storesRecorded(), 3u);
@@ -101,18 +102,23 @@ TEST(ProtocolOracleTest, VerifiesOverwriteInPlace)
     // second store's bytes.
     ASSERT_EQ(msg->stores.size(), 1u);
     EXPECT_EQ(msg->stores[0].size, 12u);
-    pipe.oracle.verifyMessage(*msg);
+    pipe.oracle.verifyMessage(*msg, msg->stores);
     pipe.oracle.verifyDrained();
 }
 
 TEST(ProtocolOracleTest, AcceptsDataLessStores)
 {
     // Timing-only traces carry no payload bytes: coverage is still
-    // verified, values are not.
+    // verified, values are not. The timing message holds no store
+    // records, so the oracle de-packetizes the transaction its
+    // packetizer hook is handed.
     Pipeline pipe;
+    pipe.packetizer.addObserver(&pipe.oracle);
     Store store(0x1000, 16, src_gpu, dst_gpu);
     auto msg = pipe.flushToMessage({store});
-    pipe.oracle.verifyMessage(*msg);
+    EXPECT_TRUE(msg->stores.empty());
+    EXPECT_EQ(msg->delivered_stores, 1u);
+    EXPECT_EQ(pipe.oracle.transactionsVerified(), 1u);
     pipe.oracle.verifyDrained();
     EXPECT_EQ(pipe.oracle.bytesVerified(), 32u);
     EXPECT_EQ(pipe.oracle.valueBytesVerified(), 0u);
@@ -143,7 +149,7 @@ TEST(ProtocolOracleTest, CatchesCorruptedData)
     Pipeline pipe;
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
     msg->stores[0].data[3] ^= 0x01; // single flipped bit
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesOffsetEncodingBug)
@@ -153,7 +159,7 @@ TEST(ProtocolOracleTest, CatchesOffsetEncodingBug)
     Pipeline pipe;
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
     msg->stores[0].addr += 4;
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesMergedRunsIgnoringByteEnables)
@@ -174,7 +180,7 @@ TEST(ProtocolOracleTest, CatchesMergedRunsIgnoringByteEnables)
     Store merged(0x1000, 0x14, src_gpu, dst_gpu);
     merged.data.resize(0x14, 0);
     msg->stores = {merged};
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesDroppedSubPacket)
@@ -186,7 +192,7 @@ TEST(ProtocolOracleTest, CatchesDroppedSubPacket)
     });
     ASSERT_EQ(msg->stores.size(), 2u);
     msg->stores.pop_back();
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesDuplicatedSubPacket)
@@ -194,7 +200,7 @@ TEST(ProtocolOracleTest, CatchesDuplicatedSubPacket)
     Pipeline pipe;
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
     msg->stores.push_back(msg->stores[0]);
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesSubPacketOutsideWindow)
@@ -203,7 +209,7 @@ TEST(ProtocolOracleTest, CatchesSubPacketOutsideWindow)
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
     // Push the store past the window's addressable range.
     msg->stores[0].addr += pipe.config.addressableRange();
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesPayloadMisaccounting)
@@ -211,16 +217,16 @@ TEST(ProtocolOracleTest, CatchesPayloadMisaccounting)
     Pipeline pipe;
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
     msg->payload_bytes += 4; // sub-header geometry no longer adds up
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesPacketWithoutFlush)
 {
     Pipeline pipe;
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
-    pipe.oracle.verifyMessage(*msg);
+    pipe.oracle.verifyMessage(*msg, msg->stores);
     // Replaying the same packet again has no matching flush.
-    EXPECT_THROW(pipe.oracle.verifyMessage(*msg), common::SimError);
+    EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
 TEST(ProtocolOracleTest, CatchesLostBytesAtDrain)
@@ -262,7 +268,7 @@ TEST(ProtocolOracleTest, TracksCapacityFlushesInCausalOrder)
         pipe.partition.push(makeStore(addr, size), sink);
         for (const FlushedPartition &flushed : sink) {
             auto msg = pipe.packetizer.toMessage(flushed, pipe.protocol);
-            pipe.oracle.verifyMessage(*msg);
+            pipe.oracle.verifyMessage(*msg, msg->stores);
             ++verified;
         }
     }
@@ -270,7 +276,7 @@ TEST(ProtocolOracleTest, TracksCapacityFlushesInCausalOrder)
     pipe.partition.flush(FlushReason::release, sink);
     for (const FlushedPartition &flushed : sink) {
         auto msg = pipe.packetizer.toMessage(flushed, pipe.protocol);
-        pipe.oracle.verifyMessage(*msg);
+        pipe.oracle.verifyMessage(*msg, msg->stores);
         ++verified;
     }
     pipe.oracle.verifyDrained();

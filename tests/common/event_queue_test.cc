@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -390,4 +392,127 @@ TEST(EventQueueTest, TieBreakIsDeterministicAcrossRuns)
         return log;
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+namespace {
+
+/** Owner of an EventPool: logs every value its handler receives. */
+struct PoolOwner
+{
+    void fired(std::shared_ptr<int> value) { log.push_back(*value); }
+
+    std::vector<int> log;
+    common::EventPool<PoolOwner, std::shared_ptr<int>, &PoolOwner::fired>
+        pool{*this, Event::prio_arrival, "test.pooled"};
+};
+
+/** Records the label and priority of every executed event. */
+class LabelRecorder : public common::EventQueueObserver
+{
+  public:
+    void
+    beginEvent(const Event &event) override
+    {
+        seen.emplace_back(event.description(), event.priority());
+    }
+
+    void endEvent(const Event &) override {}
+
+    std::vector<std::pair<std::string, int>> seen;
+};
+
+} // namespace
+
+TEST(EventPoolTest, InterleavesWithLambdasInScheduleOrder)
+{
+    // A pooled event takes its sequence number where it is scheduled,
+    // exactly as the lambda it replaces would.
+    EventQueue queue;
+    PoolOwner owner;
+    queue.schedule([&]() { owner.log.push_back(1); }, 5,
+                   Event::prio_arrival, "test.lambda");
+    owner.pool.schedule(queue, std::make_shared<int>(2), 5);
+    queue.schedule([&]() { owner.log.push_back(3); }, 5,
+                   Event::prio_arrival, "test.lambda");
+    owner.pool.schedule(queue, std::make_shared<int>(4), 5);
+    owner.pool.schedule(queue, std::make_shared<int>(0), 4);
+    queue.run();
+    EXPECT_EQ(owner.log, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventPoolTest, KeepsLabelAndPriority)
+{
+    EventQueue queue;
+    LabelRecorder recorder;
+    queue.addObserver(&recorder);
+    PoolOwner owner;
+    owner.pool.schedule(queue, std::make_shared<int>(1), 3);
+    // A lower-priority lambda at the same tick runs after it.
+    queue.schedule([]() {}, 3, Event::prio_default, "test.lambda");
+    queue.run();
+    queue.removeObserver(&recorder);
+    ASSERT_EQ(recorder.seen.size(), 2u);
+    EXPECT_EQ(recorder.seen[0].first, "test.pooled");
+    EXPECT_EQ(recorder.seen[0].second, Event::prio_arrival);
+    EXPECT_EQ(recorder.seen[1].first, "test.lambda");
+}
+
+TEST(EventPoolTest, ReusesEventsUpToThePeakInFlight)
+{
+    EventQueue queue;
+    PoolOwner owner;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 4; ++i)
+            owner.pool.schedule(queue, std::make_shared<int>(i),
+                                queue.now() + 1 + i);
+        queue.run();
+    }
+    EXPECT_EQ(owner.log.size(), 12u);
+    EXPECT_EQ(owner.pool.size(), 4u);
+}
+
+TEST(EventPoolTest, HandlerMayScheduleIntoItsOwnPool)
+{
+    struct Chain
+    {
+        void
+        fired(int hops)
+        {
+            ++delivered;
+            if (hops > 0)
+                pool.schedule(*queue, hops - 1, queue->now() + 1);
+        }
+
+        EventQueue *queue = nullptr;
+        int delivered = 0;
+        common::EventPool<Chain, int, &Chain::fired> pool{
+            *this, Event::prio_default, "test.chain"};
+    };
+    EventQueue queue;
+    Chain chain;
+    chain.queue = &queue;
+    chain.pool.schedule(queue, 5, 1);
+    queue.run();
+    EXPECT_EQ(chain.delivered, 6);
+    EXPECT_EQ(queue.now(), 6u);
+    EXPECT_EQ(chain.pool.size(), 1u);
+}
+
+TEST(EventPoolTest, ReleasesValuesOnceDeliveredOrDestroyed)
+{
+    auto delivered = std::make_shared<int>(1);
+    auto pending = std::make_shared<int>(2);
+    EventQueue queue;
+    {
+        PoolOwner owner;
+        owner.pool.schedule(queue, delivered, 1);
+        owner.pool.schedule(queue, pending, 10);
+        queue.run(5);
+        // The handler ran and dropped its copy; the pending value is
+        // still held by its queued event.
+        EXPECT_EQ(delivered.use_count(), 1);
+        EXPECT_EQ(pending.use_count(), 2);
+    }
+    // An interrupted run tears the owner down with the event queued.
+    EXPECT_EQ(pending.use_count(), 1);
 }

@@ -52,7 +52,11 @@ TEST(LoggingTest, FatalThrowsWithKind)
         FAIL() << "fatal did not throw";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimError::Kind::Fatal);
-        EXPECT_NE(std::string(e.what()).find("fatal"),
+        // A fatal reports bad input, not a program bug: the message is
+        // the explanation alone, without a source location.
+        EXPECT_EQ(std::string(e.what()), "fatal: user error");
+        EXPECT_EQ(std::string(e.what()).find(" @ "), std::string::npos);
+        EXPECT_EQ(std::string(e.what()).find("logging_test"),
                   std::string::npos);
     }
 }

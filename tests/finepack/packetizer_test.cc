@@ -167,7 +167,7 @@ TEST(PacketizerTest, MessageCarriesByteSplit)
     EXPECT_EQ(msg->payload_bytes,
               common::alignUp(16 + 2 * config.subheader_bytes, 4));
     EXPECT_EQ(msg->packed_store_count, 2u);
-    EXPECT_EQ(msg->stores.size(), 2u);
+    EXPECT_EQ(msg->delivered_stores, 2u);
 }
 
 TEST(PacketizerTest, AvgStoresPerPacketTracksFolding)

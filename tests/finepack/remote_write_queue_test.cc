@@ -284,6 +284,28 @@ TEST(RwqPartitionTest, FlushedEntriesSortedByAddress)
     EXPECT_LT(entries[1].line_addr, entries[2].line_addr);
 }
 
+TEST(RwqPartitionTest, RecycledLineStorageReturnsToTheWindow)
+{
+    // A sent flush hands its line storage back; the window's next
+    // flush but one leaves in that same storage, with its own lines.
+    RwqPartition partition(1, defaultConfig());
+    std::vector<const QueueEntry *> storage;
+    for (Addr line = 0x1000; line < 0x1300; line += 0x100) {
+        push(partition, makeStore(line, 8));
+        push(partition, makeStore(line + 0x80, 4));
+        auto flushed = release(partition);
+        ASSERT_EQ(flushed.size(), 1u);
+        ASSERT_EQ(flushed[0].entries.size(), 2u);
+        EXPECT_EQ(flushed[0].entries[0].line_addr, line);
+        EXPECT_EQ(flushed[0].entries[1].line_addr, line + 0x80);
+        EXPECT_EQ(flushed[0].entries[0].validBytes(), 8u);
+        storage.push_back(flushed[0].entries.data());
+        partition.recycle(flushed[0]);
+        EXPECT_TRUE(flushed[0].entries.empty());
+    }
+    EXPECT_EQ(storage[2], storage[0]);
+}
+
 TEST(RwqPartitionTest, LoadConflictFlushes)
 {
     RwqPartition partition(1, defaultConfig());

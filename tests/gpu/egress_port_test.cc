@@ -76,14 +76,14 @@ TEST(EgressPortTest, RawBatchGroupsByDestination)
     ASSERT_EQ(f.arrived.size(), 3u);
     std::uint64_t total_stores = 0;
     for (const auto &msg : f.arrived)
-        total_stores += msg->stores.size();
+        total_stores += msg->delivered_stores;
     EXPECT_EQ(total_stores, 4u);
 
     // Byte accounting matches the per-store sum exactly.
     icn::PcieProtocol protocol(icn::PcieGen::gen4);
     for (const auto &msg : f.arrived) {
         std::uint64_t expect_header =
-            msg->stores.size() * protocol.tlpOverhead();
+            msg->delivered_stores * protocol.tlpOverhead();
         EXPECT_EQ(msg->header_bytes, expect_header);
     }
 }
@@ -112,7 +112,7 @@ TEST(EgressPortTest, FinePackWindowViolationEmitsPacket)
     f.port->issueStore(f.store(0x1000 + 2 * GiB, 8));
     f.queue.run();
     ASSERT_EQ(f.arrived.size(), 1u);
-    EXPECT_EQ(f.arrived[0]->stores.size(), 1u);
+    EXPECT_EQ(f.arrived[0]->delivered_stores, 1u);
 }
 
 TEST(EgressPortTest, CrossLineStoreIsSplit)
@@ -123,7 +123,7 @@ TEST(EgressPortTest, CrossLineStoreIsSplit)
     f.port->releaseFence();
     f.queue.run();
     ASSERT_EQ(f.arrived.size(), 1u);
-    EXPECT_EQ(f.arrived[0]->stores.size(), 2u);
+    EXPECT_EQ(f.arrived[0]->delivered_stores, 2u);
     EXPECT_EQ(f.arrived[0]->data_bytes, 16u);
     EXPECT_EQ(f.port->storesIssued(), 2u);
 }

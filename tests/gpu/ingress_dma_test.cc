@@ -74,7 +74,7 @@ TEST(IngressPortTest, CountsDeliveries)
 {
     IngressFixture f;
     auto msg = f.makeMessage(64);
-    msg->stores.emplace_back(0x1000, 64, 0, 1);
+    msg->delivered_stores = 1;
     f.port.receive(msg);
     f.queue.run();
     EXPECT_EQ(f.port.messagesReceived(), 1u);
@@ -101,6 +101,7 @@ TEST(IngressPortTest, AppliesDataToFunctionalMemory)
     auto msg = f.makeMessage(4);
     icn::Store store(0x1000, 4, 0, 1);
     store.data = {1, 2, 3, 4};
+    msg->delivered_stores = 1;
     msg->stores.push_back(store);
     f.port.receive(msg);
     f.queue.run();

@@ -97,6 +97,34 @@ TEST(Profiler, ScopeNestsEventsAndSeparatesSelfTime)
     EXPECT_LE(outer->self_ns, outer->total_ns - inner->total_ns);
 }
 
+TEST(Profiler, ScopeInsideAnEventAggregatesWithoutASlice)
+{
+    // A per-message scope inside a handler counts like any frame, but
+    // only the scopes outside events keep host-timeline slices.
+    EventQueue queue;
+    Profiler profiler;
+    profiler.beginRun(&queue);
+    for (fp::Tick t = 1; t <= 3; ++t) {
+        queue.schedule(
+            [&profiler] {
+                Profiler::Scope inner(&profiler, "inner.scope");
+                spin();
+            },
+            t, Event::prio_default, "outer.event");
+    }
+    {
+        Profiler::Scope outer(&profiler, "outer.scope");
+        queue.run();
+    }
+    profiler.endRun();
+
+    auto rows = profiler.hotspots();
+    const HostHotspot *inner = find(rows, "inner.scope");
+    ASSERT_NE(inner, nullptr);
+    EXPECT_EQ(inner->count, 3u);
+    EXPECT_EQ(profiler.sliceCount(), 1u);
+}
+
 TEST(Profiler, TopNLimitsAndSortsBySelfTime)
 {
     EventQueue queue;

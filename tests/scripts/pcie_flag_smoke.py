@@ -9,7 +9,8 @@ must run and name the generation it simulated.
 generate accepts --scale, --gpus and --seed only as one whole number in
 range. A bad value must exit 2 with usage text instead of dying on a
 signal, aborting, or running with a silent default; valid edge values
-must generate a trace.
+must generate a trace. So must a problem too small for its GPU count,
+naming the smallest scale that works.
 
 The numeric flags of replay, profile and racecheck follow the same
 rule (--flight-recorder=N included), and any flag that takes a value
@@ -27,31 +28,37 @@ import sys
 import tempfile
 
 
-# (flag, value, expected exit code) for generate. Every case generates
-# jacobi at --scale 0.01 --gpus 2 apart from the flag it sets.
+# (flags, expected exit code[, text stderr must hold]) for generate.
+# Every case generates jacobi at --scale 0.01 --gpus 2 apart from the
+# flags it sets.
 GENERATE_CASES = [
-    ("--gpus", "0", 2),
-    ("--gpus", "-3", 2),
-    ("--gpus", "4x", 2),
-    ("--gpus", "1025", 2),
-    ("--gpus", "4294967296", 2),
-    ("--gpus", "", 2),
-    ("--scale", "-1", 2),
-    ("--scale", "0", 2),
-    ("--scale", "nan", 2),
-    ("--scale", "inf", 2),
-    ("--scale", "1e400", 2),
-    ("--scale", "abc", 2),
-    ("--scale", " 0.01", 2),
-    ("--seed", "abc", 2),
-    ("--seed", "-1", 2),
-    ("--seed", "+7", 2),
-    ("--seed", "18446744073709551616", 2),
-    ("--gpus", "1", 0),
-    ("--gpus", "16", 0),
-    ("--scale", "1e-6", 0),
-    ("--seed", "0", 0),
-    ("--seed", "18446744073709551615", 0),
+    ({"--gpus": "0"}, 2),
+    ({"--gpus": "-3"}, 2),
+    ({"--gpus": "4x"}, 2),
+    ({"--gpus": "1025"}, 2),
+    ({"--gpus": "4294967296"}, 2),
+    ({"--gpus": ""}, 2),
+    ({"--scale": "-1"}, 2),
+    ({"--scale": "0"}, 2),
+    ({"--scale": "nan"}, 2),
+    ({"--scale": "inf"}, 2),
+    ({"--scale": "1e400"}, 2),
+    ({"--scale": "abc"}, 2),
+    ({"--scale": " 0.01"}, 2),
+    ({"--seed": "abc"}, 2),
+    ({"--seed": "-1"}, 2),
+    ({"--seed": "+7"}, 2),
+    ({"--seed": "18446744073709551616"}, 2),
+    ({"--gpus": "1"}, 0),
+    ({"--gpus": "16"}, 0),
+    ({"--scale": "1e-6"}, 0),
+    ({"--seed": "0"}, 0),
+    ({"--seed": "18446744073709551615"}, 0),
+    # Valid flags, but too few rows for every GPU to hold a line.
+    ({"--gpus": "1024", "--scale": "1e-6"}, 2,
+     "jacobi is too small for 1024 GPUs at scale 1e-06; the smallest"
+     " scale that works is 0.0625"),
+    ({"--gpus": "1024", "--scale": "0.0625"}, 0),
 ]
 
 # (command, flags, expected exit code) run against the tiny trace.
@@ -111,14 +118,15 @@ def main():
         if result.returncode != 0:
             fail("trace generation failed: " + result.stderr)
 
-        for flag, value, expected in GENERATE_CASES:
-            flags = {"--scale": "0.01", "--gpus": "2", flag: value}
+        for overrides, expected, *message in GENERATE_CASES:
+            flags = {"--scale": "0.01", "--gpus": "2", **overrides}
             out = os.path.join(tmp, "case.fpt")
             args = [fptrace, "generate", "jacobi", out]
             for name, text in flags.items():
                 args += [name, text]
             result = run(args)
-            case = "generate %s '%s'" % (flag, value)
+            case = "generate " + " ".join(
+                "%s '%s'" % item for item in overrides.items())
             if result.returncode != expected:
                 fail("%s exited %d, expected %d\n%s%s"
                      % (case, result.returncode, expected,
@@ -126,6 +134,9 @@ def main():
             if expected == 2 and "usage:" not in result.stderr:
                 fail("%s printed no usage text:\n%s"
                      % (case, result.stderr))
+            if message and message[0] not in result.stderr:
+                fail("%s did not say '%s':\n%s"
+                     % (case, message[0], result.stderr))
             if expected == 0 and os.path.getsize(out) == 0:
                 fail("%s wrote an empty trace" % case)
 

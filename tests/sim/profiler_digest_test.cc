@@ -152,3 +152,24 @@ TEST(ProfilerDigest, ProfilerIsReusableAcrossParadigmsAndReps)
     EXPECT_EQ(first.total_time, second.total_time);
     EXPECT_EQ(first.wire_bytes, second.wire_bytes);
 }
+
+TEST(ProfilerDigest, SendFlushedScopeCountsEveryPacket)
+{
+    // Below driver.issue_stores, one egress.send_flushed scope covers
+    // each flush's packetize + inject.
+    const auto &trace = smallTrace("pagerank");
+    obs::Profiler profiler;
+    SimConfig config;
+    config.profiler = &profiler;
+    RunResult result = SimulationDriver(config).run(trace, Paradigm::finepack);
+    ASSERT_GT(result.finepack_packets, 0u);
+    std::uint64_t scopes = 0;
+    for (const obs::HostHotspot &spot : profiler.hotspots()) {
+        if (spot.label == "egress.send_flushed")
+            scopes = spot.count;
+    }
+    EXPECT_EQ(scopes, result.finepack_packets);
+    // Per-flush scopes aggregate only: the host timeline keeps one
+    // slice per driver scope (an iteration each, plus useful bytes).
+    EXPECT_EQ(profiler.sliceCount(), trace.numIterations() + 1);
+}

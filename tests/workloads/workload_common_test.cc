@@ -180,3 +180,27 @@ TEST(WorkloadPartitionTest, OwnerOfInvertsPartition)
         EXPECT_EQ(Workload::ownerOf(end - 1, n, 4), p);
     }
 }
+
+TEST(WorkloadSizeTest, JacobiNamesTheSmallestScaleForItsGpuCount)
+{
+    auto jacobi = createWorkload("jacobi");
+    // Up to 256 GPUs the 4096-row floor gives every GPU a line.
+    EXPECT_EQ(jacobi->minScale(256), 0.0);
+    EXPECT_EQ(jacobi->minScale(1024), 0.0625);
+
+    WorkloadParams params;
+    params.num_gpus = 1024;
+    params.scale = 0.0625;
+    EXPECT_EQ(jacobi->sizeError(params), "");
+    params.scale = 1e-6;
+    EXPECT_EQ(jacobi->sizeError(params),
+              "jacobi is too small for 1024 GPUs at scale 1e-06; the "
+              "smallest scale that works is 0.0625");
+    // A user error, not a program bug: generating it is fatal.
+    try {
+        jacobi->generateTrace(params);
+        FAIL() << "a too-small problem generated a trace";
+    } catch (const common::SimError &e) {
+        EXPECT_EQ(e.kind(), common::SimError::Kind::Fatal);
+    }
+}

@@ -390,6 +390,10 @@ cmdGenerate(int argc, char **argv)
         return usage();
 
     auto workload = workloads::createWorkload(argv[2]);
+    if (std::string error = workload->sizeError(params); !error.empty()) {
+        std::cerr << "fptrace: " << error << "\n";
+        return usage();
+    }
     std::cout << "generating " << argv[2] << " (scale=" << params.scale
               << ", gpus=" << params.num_gpus << ")...\n";
     trace::WorkloadTrace trace = workload->generateTrace(params);
