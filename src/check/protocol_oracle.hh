@@ -29,6 +29,14 @@
  *
  * Violations panic (SimError under tests). The oracle is runtime-
  * attached - it works in any build type and costs nothing when absent.
+ *
+ * Each store, flushed entry and de-packetized sub-packet costs one
+ * line lookup plus word operations on the shadows' 128 B line records
+ * (see ShadowMemory). A line that fails a check is walked byte by byte
+ * instead, so the first failure is reported with the message, counters
+ * and digest a byte-granular walk gives. Shadows, flushed images and
+ * the de-packetized store buffer are reused from packet to packet, so
+ * a run allocates for the oracle only while they grow.
  */
 
 #ifndef FP_CHECK_PROTOCOL_ORACLE_HH
@@ -36,7 +44,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "check/digest.hh"
@@ -67,7 +74,8 @@ class ProtocolOracle : public finepack::RwqObserver,
     packetEmitted(const finepack::FinePackTransaction &txn,
                   const icn::WireMessage &msg) override
     {
-        verifyMessage(msg, txn.unpack());
+        txn.unpackInto(_depacketized);
+        verifyMessage(msg, _depacketized);
     }
 
     /**
@@ -128,15 +136,44 @@ class ProtocolOracle : public finepack::RwqObserver,
         std::uint64_t packed_store_count = 0;
     };
 
-    ShadowMemory &pendingFor(GpuId dst);
+    /** Everything the oracle tracks toward one destination GPU. */
+    struct Destination
+    {
+        /** Bytes currently buffered in the RWQ. */
+        ShadowMemory pending;
+        /**
+         * Flushed-but-not-yet-packetized images: a ring holding
+         * `outstanding` images from `head` on, oldest first. Slots keep
+         * their line storage for later flushes.
+         */
+        std::vector<ExpectedImage> images;
+        std::size_t head = 0;
+        std::size_t outstanding = 0;
+    };
+
+    /** The state toward @p dst, created on first use. */
+    Destination &
+    destination(GpuId dst)
+    {
+        if (dst >= _destinations.size())
+            _destinations.resize(std::size_t{dst} + 1);
+        return _destinations[dst];
+    }
+
+    /** Check and move one flushed entry's bytes, byte by byte. */
+    void flushBytes(const finepack::QueueEntry &entry, GpuId dst,
+                    finepack::FlushReason reason, ShadowMemory &pending,
+                    ShadowMemory &image);
+    /** Check and retire one sub-packet's bytes, byte by byte. */
+    void retireBytes(const icn::Store &store, ShadowMemory &image);
 
     GpuId _src;
     finepack::FinePackConfig _config;
 
-    /** Bytes currently buffered in the RWQ, per destination. */
-    std::unordered_map<GpuId, ShadowMemory> _pending;
-    /** Flushed-but-not-yet-packetized images, per destination. */
-    std::unordered_map<GpuId, std::deque<ExpectedImage>> _outstanding;
+    /** Indexed by destination GPU; elements never move once made. */
+    std::deque<Destination> _destinations;
+    /** packetEmitted()'s de-packetized stores, reused per packet. */
+    std::vector<icn::Store> _depacketized;
 
     std::uint64_t _stores_recorded = 0;
     std::uint64_t _transactions_verified = 0;

@@ -58,13 +58,24 @@ std::vector<icn::Store>
 FinePackTransaction::unpack() const
 {
     std::vector<icn::Store> stores;
-    stores.reserve(_subs.size());
-    for (const auto &sub : _subs) {
-        icn::Store store(_base + sub.offset, sub.length, _src, _dst);
-        store.data = sub.data;
-        stores.push_back(std::move(store));
-    }
+    unpackInto(stores);
     return stores;
+}
+
+void
+FinePackTransaction::unpackInto(std::vector<icn::Store> &stores) const
+{
+    stores.resize(_subs.size());
+    for (std::size_t i = 0; i < _subs.size(); ++i) {
+        icn::Store &store = stores[i];
+        store.addr = _base + _subs[i].offset;
+        store.size = _subs[i].length;
+        store.src = _src;
+        store.dst = _dst;
+        store.data.assign(_subs[i].data.begin(), _subs[i].data.end());
+        store.is_atomic = false;
+        store.issue_tick = max_tick;
+    }
 }
 
 } // namespace fp::finepack

@@ -87,6 +87,12 @@ class FinePackTransaction
      */
     std::vector<icn::Store> unpack() const;
 
+    /**
+     * unpack() into @p stores, reusing the storage of the vector and
+     * of the stores it already holds.
+     */
+    void unpackInto(std::vector<icn::Store> &stores) const;
+
   private:
     GpuId _src;
     GpuId _dst;

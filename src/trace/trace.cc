@@ -4,6 +4,9 @@
 #include <bit>
 #include <istream>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -281,31 +284,119 @@ writePod(std::ostream &os, const T &value)
     os.write(reinterpret_cast<const char *>(&value), sizeof(T));
 }
 
-template <typename T>
-T
-readPod(std::istream &is)
+/**
+ * Reads a v1 trace field by field. It tracks the byte offset and the
+ * section it is in, so every failure names both, and it refuses any
+ * count whose records the bytes left in the stream cannot hold, so a
+ * corrupted count never sizes a vector. Every failure is a fatal
+ * error: the input is bad, the simulator is not.
+ */
+class TraceReader
 {
-    T value{};
-    is.read(reinterpret_cast<char *>(&value), sizeof(T));
-    fp_assert(static_cast<bool>(is), "truncated trace stream");
-    return value;
-}
+  public:
+    /** @p is must be seekable, so the bytes left are known. */
+    explicit TraceReader(std::istream &is) : _is(is)
+    {
+        const std::istream::pos_type start = is.tellg();
+        is.seekg(0, std::ios::end);
+        const std::istream::pos_type end = is.tellg();
+        is.seekg(start);
+        fp_assert(start != std::istream::pos_type(-1) &&
+                      end != std::istream::pos_type(-1) && end >= start &&
+                      is.good(),
+                  "trace stream is not seekable");
+        _left = static_cast<std::uint64_t>(end - start);
+    }
+
+    /** Name the section the following fields belong to. */
+    void
+    enter(const char *section, std::int64_t iteration = -1,
+          std::int64_t gpu = -1)
+    {
+        _section = section;
+        _iteration = iteration;
+        _gpu = gpu;
+    }
+
+    template <typename T>
+    T
+    read()
+    {
+        T value{};
+        if (_left < sizeof(T) ||
+            !_is.read(reinterpret_cast<char *>(&value), sizeof(T))) {
+            fail("truncated at byte ", _offset, ": a ", sizeof(T),
+                 "-byte field is cut short");
+        }
+        _offset += sizeof(T);
+        _left -= sizeof(T);
+        return value;
+    }
+
+    /**
+     * Read a @p Count-wide record count whose records take at least
+     * @p record_bytes each.
+     */
+    template <typename Count>
+    std::uint64_t
+    count(std::uint64_t record_bytes)
+    {
+        const std::uint64_t at = _offset;
+        const std::uint64_t n = read<Count>();
+        if (n > _left / record_bytes) {
+            fail("count ", n, " at byte ", at, " needs at least ", n,
+                 " x ", record_bytes, " bytes, but only ", _left,
+                 " are left");
+        }
+        return n;
+    }
+
+    std::string
+    readString()
+    {
+        std::string s(count<std::uint32_t>(1), '\0');
+        if (!_is.read(s.data(), static_cast<std::streamsize>(s.size())))
+            fail("truncated at byte ", _offset, ": a string is cut short");
+        _offset += s.size();
+        _left -= s.size();
+        return s;
+    }
+
+    template <typename... Args>
+    [[noreturn]] void
+    fail(Args &&...args)
+    {
+        std::string where = _section;
+        if (_iteration >= 0)
+            where += " of iteration " + std::to_string(_iteration);
+        if (_gpu >= 0)
+            where += ", GPU " + std::to_string(_gpu);
+        fp_fatal("trace ", where, ": ", std::forward<Args>(args)...);
+    }
+
+  private:
+    std::istream &_is;
+    std::uint64_t _offset = 0;
+    std::uint64_t _left = 0;
+    const char *_section = "header";
+    std::int64_t _iteration = -1;
+    std::int64_t _gpu = -1;
+};
+
+// The fewest bytes one record of each v1 section takes on disk.
+constexpr std::uint64_t iteration_bytes = 4 + 4;  // GPU and set counts
+constexpr std::uint64_t gpu_work_bytes = 3 * 8 + 8 + 8;
+constexpr std::uint64_t store_bytes = 8 + 4 + 4 + 4 + 1;
+constexpr std::uint64_t copy_bytes = 4 + 8 + 8;
+constexpr std::uint64_t consumed_set_bytes = 8;
+constexpr std::uint64_t range_bytes = 8 + 8;
+constexpr std::uint64_t work_bytes = 8 + 8;
 
 void
 writeString(std::ostream &os, const std::string &s)
 {
     writePod<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
     os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string
-readString(std::istream &is)
-{
-    auto len = readPod<std::uint32_t>(is);
-    std::string s(len, '\0');
-    is.read(s.data(), len);
-    fp_assert(static_cast<bool>(is), "truncated trace stream");
-    return s;
 }
 
 } // namespace
@@ -360,62 +451,87 @@ writeTrace(const WorkloadTrace &trace, std::ostream &os)
     }
 }
 
+namespace {
+
+WorkloadTrace
+readTrace(TraceReader &in)
+{
+    const auto magic = in.read<std::uint64_t>();
+    if (magic != trace_magic)
+        in.fail("bad magic at byte 0: not a FinePack trace");
+
+    WorkloadTrace trace;
+    trace.workload = in.readString();
+    trace.comm_pattern = in.readString();
+    trace.num_gpus = in.read<std::uint32_t>();
+    trace.iterations.resize(in.count<std::uint32_t>(iteration_bytes));
+
+    for (std::size_t i = 0; i < trace.iterations.size(); ++i) {
+        auto &iter = trace.iterations[i];
+        const auto it = static_cast<std::int64_t>(i);
+        in.enter("GPU list", it);
+        iter.per_gpu.resize(in.count<std::uint32_t>(gpu_work_bytes));
+        for (std::size_t g = 0; g < iter.per_gpu.size(); ++g) {
+            auto &gpu = iter.per_gpu[g];
+            in.enter("GPU work", it, static_cast<std::int64_t>(g));
+            gpu.flops = in.read<double>();
+            gpu.local_bytes = in.read<std::uint64_t>();
+            gpu.dma_extra_local_bytes = in.read<std::uint64_t>();
+            in.enter("stores", it, static_cast<std::int64_t>(g));
+            gpu.remote_stores.resize(in.count<std::uint64_t>(store_bytes));
+            for (auto &store : gpu.remote_stores) {
+                store.addr = in.read<Addr>();
+                store.size = in.read<std::uint32_t>();
+                store.src = in.read<GpuId>();
+                store.dst = in.read<GpuId>();
+                store.is_atomic = in.read<std::uint8_t>() != 0;
+            }
+            in.enter("DMA copies", it, static_cast<std::int64_t>(g));
+            gpu.dma_copies.resize(in.count<std::uint64_t>(copy_bytes));
+            for (auto &copy : gpu.dma_copies) {
+                copy.dst = in.read<GpuId>();
+                copy.range.base = in.read<Addr>();
+                copy.range.size = in.read<std::uint64_t>();
+            }
+        }
+        in.enter("consumed sets", it);
+        iter.consumed.resize(in.count<std::uint32_t>(consumed_set_bytes));
+        for (auto &ranges : iter.consumed) {
+            ranges.resize(in.count<std::uint64_t>(range_bytes));
+            for (auto &range : ranges) {
+                range.base = in.read<Addr>();
+                range.size = in.read<std::uint64_t>();
+            }
+        }
+    }
+
+    in.enter("single-GPU work");
+    trace.single_gpu_work.resize(in.count<std::uint32_t>(work_bytes));
+    for (auto &[flops, bytes] : trace.single_gpu_work) {
+        flops = in.read<double>();
+        bytes = in.read<std::uint64_t>();
+    }
+    return trace;
+}
+
+} // namespace
+
 WorkloadTrace
 readTrace(std::istream &is)
 {
-    auto magic = readPod<std::uint64_t>(is);
-    fp_assert(magic == trace_magic, "bad trace magic");
-
-    WorkloadTrace trace;
-    trace.workload = readString(is);
-    trace.comm_pattern = readString(is);
-    trace.num_gpus = readPod<std::uint32_t>(is);
-    auto num_iters = readPod<std::uint32_t>(is);
-
-    trace.iterations.resize(num_iters);
-    for (auto &iter : trace.iterations) {
-        auto num_gpus = readPod<std::uint32_t>(is);
-        iter.per_gpu.resize(num_gpus);
-        for (auto &gpu : iter.per_gpu) {
-            gpu.flops = readPod<double>(is);
-            gpu.local_bytes = readPod<std::uint64_t>(is);
-            gpu.dma_extra_local_bytes = readPod<std::uint64_t>(is);
-            auto num_stores = readPod<std::uint64_t>(is);
-            gpu.remote_stores.resize(num_stores);
-            for (auto &store : gpu.remote_stores) {
-                store.addr = readPod<Addr>(is);
-                store.size = readPod<std::uint32_t>(is);
-                store.src = readPod<GpuId>(is);
-                store.dst = readPod<GpuId>(is);
-                store.is_atomic = readPod<std::uint8_t>(is) != 0;
-            }
-            auto num_copies = readPod<std::uint64_t>(is);
-            gpu.dma_copies.resize(num_copies);
-            for (auto &copy : gpu.dma_copies) {
-                copy.dst = readPod<GpuId>(is);
-                copy.range.base = readPod<Addr>(is);
-                copy.range.size = readPod<std::uint64_t>(is);
-            }
-        }
-        auto num_consumed = readPod<std::uint32_t>(is);
-        iter.consumed.resize(num_consumed);
-        for (auto &ranges : iter.consumed) {
-            auto num_ranges = readPod<std::uint64_t>(is);
-            ranges.resize(num_ranges);
-            for (auto &range : ranges) {
-                range.base = readPod<Addr>(is);
-                range.size = readPod<std::uint64_t>(is);
-            }
-        }
+    if (is.tellg() != std::istream::pos_type(-1)) {
+        TraceReader in(is);
+        return readTrace(in);
     }
-
-    auto num_work = readPod<std::uint32_t>(is);
-    trace.single_gpu_work.resize(num_work);
-    for (auto &[flops, bytes] : trace.single_gpu_work) {
-        flops = readPod<double>(is);
-        bytes = readPod<std::uint64_t>(is);
-    }
-    return trace;
+    // A pipe: buffer it, so every count can be checked against the
+    // bytes that are really there.
+    is.clear();
+    std::stringstream buffered(std::ios::in | std::ios::out |
+                               std::ios::binary);
+    buffered << is.rdbuf();
+    buffered.clear();
+    TraceReader in(buffered);
+    return readTrace(in);
 }
 
 } // namespace fp::trace

@@ -144,6 +144,14 @@ std::uint64_t totalUniqueBytes(const WorkloadTrace &trace);
 
 /** Binary trace serialization (stores only; data payloads dropped). */
 void writeTrace(const WorkloadTrace &trace, std::ostream &os);
+
+/**
+ * Read a trace writeTrace() wrote. Bad magic, a count the bytes left
+ * cannot hold and a short read are fatal errors (exit 1 in a tool)
+ * whose message names the section and the byte offset; no count sizes
+ * anything before it is checked. A stream that cannot seek (a pipe) is
+ * read into memory first.
+ */
 WorkloadTrace readTrace(std::istream &is);
 
 } // namespace fp::trace

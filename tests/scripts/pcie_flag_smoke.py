@@ -16,6 +16,10 @@ The numeric flags of replay, profile and racecheck follow the same
 rule (--flight-recorder=N included), and any flag that takes a value
 exits 2 with usage text when it is the last word on the command line.
 
+A corrupted trace is bad input too: info and replay of a trace whose
+first store count is 2^40, or that is cut in half, exit 1 with a fatal
+message naming the byte offset, instead of aborting or panicking.
+
 Usage: pcie_flag_smoke.py <fptrace-binary>
 
 Stdlib only; registered with ctest from tests/CMakeLists.txt. Exits
@@ -23,6 +27,7 @@ nonzero with a diagnostic on the first failed expectation.
 """
 
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -59,6 +64,20 @@ GENERATE_CASES = [
      "jacobi is too small for 1024 GPUs at scale 1e-06; the smallest"
      " scale that works is 0.0625"),
     ({"--gpus": "1024", "--scale": "0.0625"}, 0),
+]
+
+# Byte offset of the first store count in the tiny trace: magic,
+# "jacobi" and "peer-to-peer" with their lengths, the GPU and iteration
+# counts, iteration 0's GPU count, and GPU 0's three work fields.
+FIRST_STORE_COUNT = 70
+
+# (name, corruption of the tiny trace's bytes, text stderr must hold).
+CORRUPT_CASES = [
+    ("store count 2^40",
+     lambda b: b[:FIRST_STORE_COUNT] + struct.pack("<Q", 1 << 40)
+     + b[FIRST_STORE_COUNT + 8:],
+     "count 1099511627776 at byte 70"),
+    ("cut in half", lambda b: b[:len(b) // 2], "at byte "),
 ]
 
 # (command, flags, expected exit code) run against the tiny trace.
@@ -150,6 +169,24 @@ def main():
             if expected == 2 and "usage:" not in result.stderr:
                 fail("%s printed no usage text:\n%s"
                      % (case, result.stderr))
+
+        with open(trace, "rb") as f:
+            good = f.read()
+        for name, corrupt, text in CORRUPT_CASES:
+            bad_trace = os.path.join(tmp, "bad.fpt")
+            with open(bad_trace, "wb") as f:
+                f.write(corrupt(good))
+            for command in ("info", "replay"):
+                result = run([fptrace, command, bad_trace])
+                case = "%s of a trace with its %s" % (command, name)
+                if result.returncode != 1:
+                    fail("%s exited %d, expected 1\n%s%s"
+                         % (case, result.returncode,
+                            result.stdout, result.stderr))
+                if "fatal: trace " not in result.stderr \
+                        or text not in result.stderr:
+                    fail("%s did not say 'fatal: trace ...%s':\n%s"
+                         % (case, text, result.stderr))
 
         for command in ("replay", "profile", "racecheck"):
             for bad in ("9", "abc"):

@@ -154,7 +154,7 @@ const Budget budgets[] = {
     {"pagerank_finepack", "pagerank", 0.02, sim::Paradigm::finepack, 0,
      false, 75'939, 1'407},
     {"pagerank_finepack_checked", "pagerank", 0.02,
-     sim::Paradigm::finepack, 0, true, 75'939, 85'516},
+     sim::Paradigm::finepack, 0, true, 75'939, 1'672},
     {"pagerank_p2p_stores", "pagerank", 0.02, sim::Paradigm::p2p_stores,
      0, false, 75'939, 1'243},
     {"hit_finepack_sub2", "hit", 0.02, sim::Paradigm::finepack, 2, false,

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
+#include "common/logging.hh"
 #include "gpu/warp_coalescer.hh"
 #include "trace/store_stream.hh"
 #include "trace/trace.hh"
+#include "workloads/workload.hh"
 
 using namespace fp;
 using namespace fp::trace;
@@ -195,6 +201,182 @@ TEST(TraceSerializationTest, BadMagicPanics)
     std::stringstream buffer;
     buffer << "not a trace at all";
     EXPECT_THROW(readTrace(buffer), common::SimError);
+}
+
+namespace {
+
+/**
+ * The corruption corpus's trace: jacobi at scale 0.01 on 2 GPUs, with a
+ * consumed set and single-GPU work added so every section holds records.
+ */
+WorkloadTrace
+corpusTrace()
+{
+    workloads::WorkloadParams params;
+    params.num_gpus = 2;
+    params.scale = 0.01;
+    WorkloadTrace trace =
+        workloads::createWorkload("jacobi")->generateTrace(params);
+    trace.iterations[0].consumed.resize(2);
+    trace.iterations[0].consumed[1].push_back(icn::AddrRange{0x1000, 16});
+    trace.single_gpu_work.emplace_back(246.0, 20000u);
+    return trace;
+}
+
+std::string
+serialize(const WorkloadTrace &trace)
+{
+    std::stringstream buffer;
+    writeTrace(trace, buffer);
+    return buffer.str();
+}
+
+/** The offset and width of every record count in a v1 trace. */
+struct CountField
+{
+    std::size_t offset;
+    std::size_t width;
+};
+
+std::vector<CountField>
+countFields(const WorkloadTrace &trace)
+{
+    std::vector<CountField> fields;
+    std::size_t at = 8; // magic
+    for (const std::string *s : {&trace.workload, &trace.comm_pattern}) {
+        fields.push_back({at, 4});
+        at += 4 + s->size();
+    }
+    at += 4; // GPU count of the system (not a record count)
+    fields.push_back({at, 4});
+    at += 4;
+    for (const auto &iter : trace.iterations) {
+        fields.push_back({at, 4});
+        at += 4;
+        for (const auto &gpu : iter.per_gpu) {
+            at += 3 * 8;
+            fields.push_back({at, 8});
+            at += 8 + 21 * gpu.remote_stores.size();
+            fields.push_back({at, 8});
+            at += 8 + 20 * gpu.dma_copies.size();
+        }
+        fields.push_back({at, 4});
+        at += 4;
+        for (const auto &ranges : iter.consumed) {
+            fields.push_back({at, 8});
+            at += 8 + 16 * ranges.size();
+        }
+    }
+    fields.push_back({at, 4});
+    at += 4 + 16 * trace.single_gpu_work.size();
+    EXPECT_EQ(at, serialize(trace).size()) << "layout walk is off";
+    return fields;
+}
+
+/** The fatal message readTrace() gives for @p bytes, or "" if none. */
+std::string
+fatalOf(const std::string &bytes)
+{
+    std::stringstream buffer(bytes);
+    try {
+        readTrace(buffer);
+    } catch (const common::SimError &error) {
+        EXPECT_EQ(error.kind(), common::SimError::Kind::Fatal)
+            << error.what();
+        return error.what();
+    }
+    return "";
+}
+
+void
+setCount(std::string &bytes, const CountField &field, std::uint64_t value)
+{
+    std::memcpy(bytes.data() + field.offset, &value, field.width);
+}
+
+/** A stream buffer that cannot seek, like a pipe's. */
+class PipeBuffer : public std::streambuf
+{
+  public:
+    explicit PipeBuffer(std::string &bytes)
+    {
+        setg(bytes.data(), bytes.data(), bytes.data() + bytes.size());
+    }
+};
+
+} // namespace
+
+TEST(TraceCorruptionTest, BadMagicIsFatalAtByteZero)
+{
+    std::string bytes = serialize(corpusTrace());
+    bytes[0] ^= 0x01;
+    EXPECT_NE(fatalOf(bytes).find("bad magic at byte 0"), std::string::npos);
+}
+
+TEST(TraceCorruptionTest, EveryCutIsFatalWithItsOffset)
+{
+    // Every prefix, so every section boundary and every field is cut.
+    const std::string bytes = serialize(corpusTrace());
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        std::string message = fatalOf(bytes.substr(0, cut));
+        ASSERT_NE(message.find("at byte "), std::string::npos)
+            << "cut at " << cut << ": '" << message << "'";
+        ASSERT_EQ(message.rfind("fatal: trace ", 0), 0u) << message;
+    }
+    EXPECT_EQ(fatalOf(bytes), "");
+}
+
+TEST(TraceCorruptionTest, ImpossibleCountsAreFatalBeforeAnyAllocation)
+{
+    const WorkloadTrace trace = corpusTrace();
+    const std::string bytes = serialize(trace);
+    const std::vector<CountField> fields = countFields(trace);
+    ASSERT_GT(fields.size(), 40u);
+    for (const CountField &field : fields) {
+        std::string bad = bytes;
+        setCount(bad, field,
+                 field.width == 8 ? std::uint64_t{1} << 40 : 0xffffffffu);
+        const std::string at = "at byte " + std::to_string(field.offset);
+        std::string message = fatalOf(bad);
+        EXPECT_NE(message.find("count "), std::string::npos) << message;
+        EXPECT_NE(message.find(at), std::string::npos)
+            << message << " (expected " << at << ")";
+    }
+}
+
+TEST(TraceCorruptionTest, CountsOffByOneNeverPanic)
+{
+    // One record too many reads the fields that follow as a record. v1
+    // has no trailer, so that may even parse; when it fails, it fails
+    // as bad input (fatalOf() checks the kind), never as a panic.
+    const WorkloadTrace trace = corpusTrace();
+    const std::string bytes = serialize(trace);
+    std::size_t fatal = 0;
+    for (const CountField &field : countFields(trace)) {
+        std::string bad = bytes;
+        std::uint64_t count = 0;
+        std::memcpy(&count, bad.data() + field.offset, field.width);
+        setCount(bad, field, count + 1);
+        fatal += !fatalOf(bad).empty();
+    }
+    EXPECT_GT(fatal, 0u);
+}
+
+TEST(TraceCorruptionTest, PipesAreReadThroughABuffer)
+{
+    const WorkloadTrace trace = corpusTrace();
+    std::string bytes = serialize(trace);
+    PipeBuffer pipe(bytes);
+    std::istream in(&pipe);
+    ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));
+    WorkloadTrace copy = readTrace(in);
+    EXPECT_EQ(copy.totalRemoteStores(), trace.totalRemoteStores());
+    EXPECT_EQ(serialize(copy), bytes);
+
+    std::string cut = bytes.substr(0, 100);
+    PipeBuffer short_pipe(cut);
+    std::istream short_in(&short_pipe);
+    EXPECT_THROW(readTrace(short_in), common::SimError);
 }
 
 TEST(TraceTotalsTest, StoreCountsAndBytes)
