@@ -1,6 +1,7 @@
 #include "common/build_info.hh"
 
 #include "common/build_info_gen.hh"
+#include "common/build_sha.hh"
 #include "common/json.hh"
 
 namespace fp::common {

@@ -22,7 +22,7 @@ class JsonWriter;
 /** Configure/compile-time facts about this binary. */
 struct BuildInfo
 {
-    /** Short git SHA at configure time ("unknown" outside a checkout). */
+    /** Short git SHA at build time ("unknown" outside a checkout). */
     const char *git_sha;
     /** Compiler id and version (e.g. "GNU 13.2.0"). */
     const char *compiler;

@@ -15,8 +15,6 @@ FinePackConfig::validate() const
         fp_fatal("length field too narrow for a full queue entry");
     if (max_payload == 0 || max_payload % 4 != 0)
         fp_fatal("max payload must be a non-zero DW multiple");
-    if (queue_entries == 0)
-        fp_fatal("queue must have at least one entry");
     if (windows_per_partition == 0)
         fp_fatal("at least one window per partition is required");
     if (queue_entries % windows_per_partition != 0)
@@ -32,7 +30,6 @@ defaultConfig()
     config.subheader_bytes = 5; // 30-bit offset => 1 GiB window
     config.length_bits = 10;
     config.max_payload = 4096;
-    config.queue_entries = 64;
     config.validate();
     return config;
 }

@@ -29,8 +29,11 @@ struct FinePackConfig
     std::uint32_t length_bits = 10;
     /** Maximum outer-transaction payload (PCIe max payload size). */
     std::uint32_t max_payload = 4096;
-    /** Remote write queue entries per destination partition. */
-    std::uint32_t queue_entries = 64;
+    /**
+     * Remote write queue entries per destination partition (Table III;
+     * fixed, so each window's tag index is a fixed-size array).
+     */
+    static constexpr std::uint32_t queue_entries = 64;
     /**
      * Data bytes per remote write queue entry: one 128 B cache line,
      * whose byte enables are two 64-bit words (fixed by the hardware).

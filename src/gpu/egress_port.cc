@@ -169,6 +169,12 @@ EgressPort::issueStore(const icn::Store &store)
     Addr begin = store.begin();
     Addr end = store.end();
     const std::uint32_t line = _config.entry_bytes;
+    if (!_latency &&
+        common::alignDown(begin, line) == common::alignDown(end - 1, line)) {
+        // Neither split nor stamped: the store goes as it is.
+        issuePiece(store);
+        return;
+    }
     while (begin < end) {
         Addr piece_end =
             std::min<Addr>(end, common::alignDown(begin, line) + line);
@@ -182,12 +188,18 @@ EgressPort::issueStore(const icn::Store &store)
             piece.data.assign(store.data.begin() + off,
                               store.data.begin() + off + piece.size);
         }
-        if (piece.is_atomic)
-            issueAtomic(piece);
-        else
-            issueAligned(piece);
+        issuePiece(piece);
         begin = piece_end;
     }
+}
+
+void
+EgressPort::issuePiece(const icn::Store &piece)
+{
+    if (piece.is_atomic)
+        issueAtomic(piece);
+    else
+        issueAligned(piece);
 }
 
 void

@@ -134,6 +134,8 @@ class EgressPort : public common::SimObject
     double avgStoresPerMessage() const;
 
   private:
+    /** Issue one line-contained piece of a store. */
+    void issuePiece(const icn::Store &piece);
     void issueAligned(const icn::Store &store);
     void issueAtomic(const icn::Store &store);
     void sendRaw(const icn::Store &store, icn::MessageKind kind);

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "check/digest.hh"
 #include "common/build_info.hh"
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -24,6 +25,20 @@ MetricsCapture::groupsJson() const
 {
     static const std::string empty = "[]";
     return _groups_json.empty() ? empty : _groups_json;
+}
+
+std::uint64_t
+MetricsCapture::digest(const PeriodicSampler *sampler) const
+{
+    check::Digest digest;
+    digest.update(groupsJson());
+    if (sampler) {
+        std::ostringstream os;
+        common::JsonWriter json(os);
+        sampler->dumpJson(json);
+        digest.update(os.str());
+    }
+    return digest.value();
 }
 
 void

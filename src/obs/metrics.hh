@@ -13,6 +13,7 @@
 #ifndef FP_OBS_METRICS_HH
 #define FP_OBS_METRICS_HH
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 
@@ -37,6 +38,14 @@ class MetricsCapture
 
     /** The captured groups array; "[]" when nothing was captured. */
     const std::string &groupsJson() const;
+
+    /**
+     * FNV-1a digest of groupsJson() followed, when @p sampler is
+     * non-null, by its time series. It leaves out the build
+     * provenance, so builds of two commits with the same statistics
+     * give the same digest.
+     */
+    std::uint64_t digest(const PeriodicSampler *sampler = nullptr) const;
 
     /**
      * Write the complete stats document: schema version, build

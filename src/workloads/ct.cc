@@ -9,15 +9,28 @@
 
 namespace fp::workloads {
 
+std::uint32_t
+CtWorkload::raysPerGpu(double scale)
+{
+    return std::max<std::uint32_t>(static_cast<std::uint32_t>(96 * scale),
+                                   16);
+}
+
+std::uint64_t
+CtWorkload::storeBound(const WorkloadParams &params) const
+{
+    const std::uint64_t gpus = params.num_gpus;
+    return iterations * gpus * raysPerGpu(params.scale) * max_steps *
+           (gpus - 1);
+}
+
 void
 CtWorkload::setup(const WorkloadParams &params)
 {
     _params = params;
     _rng = common::Rng(params.seed);
     _side = 1024;
-    _rays_per_gpu = std::max<std::uint32_t>(
-        static_cast<std::uint32_t>(96 * params.scale), 16);
-    _max_steps = 384;
+    _rays_per_gpu = raysPerGpu(params.scale);
     _concurrent_rays = 64;
 }
 
@@ -126,7 +139,7 @@ CtWorkload::runIteration(std::uint32_t it)
         ray_voxels.reserve(_rays_per_gpu);
         std::uint64_t total_steps = 0;
         for (std::uint32_t r = 0; r < _rays_per_gpu; ++r) {
-            ray_voxels.push_back(traverse(makeRay(it, g, r), _max_steps));
+            ray_voxels.push_back(traverse(makeRay(it, g, r), max_steps));
             total_steps += ray_voxels.back().size();
         }
 

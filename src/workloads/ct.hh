@@ -34,8 +34,16 @@ class CtWorkload : public Workload
     const char *commPattern() const override { return "all-to-all"; }
 
     void setup(const WorkloadParams &params) override;
-    std::uint32_t numIterations() const override { return 3; }
+    std::uint32_t numIterations() const override { return iterations; }
     trace::IterationWork runIteration(std::uint32_t it) override;
+
+    /**
+     * Every step of every ray may write one voxel to every peer:
+     * iterations x GPUs x rays per GPU x max_steps x peers. Stores grow
+     * as GPUs squared, and a smaller scale never gives a GPU fewer
+     * than 16 rays.
+     */
+    std::uint64_t storeBound(const WorkloadParams &params) const override;
 
     /** Voxel grid side length (addresses span side^3 * 4 bytes). */
     std::uint64_t side() const { return _side; }
@@ -59,9 +67,15 @@ class CtWorkload : public Workload
     Ray makeRay(std::uint32_t iteration, GpuId gpu,
                 std::uint32_t ray_idx) const;
 
+    /** Rays each GPU back-projects at @p scale. */
+    static std::uint32_t raysPerGpu(double scale);
+
+    static constexpr std::uint32_t iterations = 3;
+    /** Siddon steps per ray. */
+    static constexpr std::uint32_t max_steps = 384;
+
     std::uint64_t _side = 1024;
     std::uint32_t _rays_per_gpu = 96;
-    std::uint32_t _max_steps = 384;
     std::uint32_t _concurrent_rays = 64;
 };
 

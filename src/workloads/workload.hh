@@ -59,9 +59,30 @@ class Workload
     }
 
     /**
-     * Why @p params is a problem too small for its GPU count, naming
-     * the workload, the GPU count and the smallest scale that works;
-     * empty when it is not. generateTrace() fails with this message.
+     * The most remote stores a trace of @p params can hold, for a
+     * workload whose trace can outgrow memory (0: no bound needed).
+     */
+    virtual std::uint64_t
+    storeBound(const WorkloadParams &params) const
+    {
+        (void)params;
+        return 0;
+    }
+
+    /**
+     * The most stores storeBound() may allow: 2^26 (67 M), 4 GiB of
+     * 64 B in-memory store records before a replay starts. The largest
+     * trace any bench or test builds, ct on 16 GPUs at scale 1, is
+     * bounded by 26.5 M.
+     */
+    static constexpr std::uint64_t max_trace_stores = std::uint64_t{1}
+                                                      << 26;
+
+    /**
+     * Why @p params cannot be generated: a problem too small for its
+     * GPU count (naming the smallest scale that works) or a trace over
+     * the store budget (naming the largest GPU count that fits); empty
+     * when it can. generateTrace() fails with this message.
      */
     std::string sizeError(const WorkloadParams &params) const;
 

@@ -57,10 +57,6 @@ TEST(FinePackConfigTest, ValidationRejectsBadGeometry)
     config = defaultConfig();
     config.max_payload = 4095; // not a DW multiple
     EXPECT_THROW(config.validate(), common::SimError);
-
-    config = defaultConfig();
-    config.queue_entries = 0;
-    EXPECT_THROW(config.validate(), common::SimError);
 }
 
 TEST(FinePackConfigTest, TableIIIStorageFootprint)

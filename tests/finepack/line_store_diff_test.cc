@@ -7,10 +7,13 @@
  *
  * Seeded random streams drive both versions side by side: dense and
  * scattered streams, stores around the enable-word boundary (bytes
- * 56-72 of a line), full 128 B lines, stores with and without payload,
- * 1 to 8 windows, 2 B sub-headers whose 64 B windows split stores at
- * the window grid, atomics and loads through flushIfConflict(), and a
- * write-combining buffer evicting at capacity. After every operation
+ * 56-72 of a line), full 128 B lines, lines whose tags share tag-index
+ * home buckets (long probe chains that wrap past the last bucket),
+ * stores with and without payload, 1 to 64 windows, 2 B sub-headers
+ * whose 64 B windows split stores at the window grid, atomics and loads
+ * through flushIfConflict(), windows filled to their entry budget and
+ * then hit on every line, and a write-combining buffer evicting at
+ * capacity. After every operation
  * the two must have handed downstream exactly the same flushes
  * (destination, window base, reason, store count, stamps, and each
  * entry's tag, enabled bytes and data) or evictions, and must agree on
@@ -44,6 +47,7 @@ enum class Stream {
     scattered, ///< short stores anywhere in eight 4 MiB-apart regions
     boundary,  ///< stores touching bytes 56-72 of 64 hot lines
     full_line, ///< whole 128 B lines
+    collide,   ///< short stores to 96 lines of three adjacent home buckets
 };
 
 const char *
@@ -54,8 +58,26 @@ streamName(Stream stream)
       case Stream::scattered: return "scattered";
       case Stream::boundary: return "boundary";
       case Stream::full_line: return "full_line";
+      case Stream::collide: return "collide";
     }
     return "?";
+}
+
+/**
+ * The first @p count lines from address 0 whose tags hash to tag-index
+ * bucket 126, 127 or 0: they share home buckets, and their probe
+ * chains run into each other and wrap past the last bucket.
+ */
+std::vector<Addr>
+collidingLines(std::size_t count)
+{
+    std::vector<Addr> lines;
+    for (Addr line = 0; lines.size() < count; line += 128) {
+        const std::uint32_t bucket = RwqWindow::homeBucket(line);
+        if (bucket >= RwqWindow::index_buckets - 2 || bucket == 0)
+            lines.push_back(line);
+    }
+    return lines;
 }
 
 /** Random line-contained stores of one stream shape to GPU 1. */
@@ -63,7 +85,9 @@ class StoreStream
 {
   public:
     StoreStream(Stream stream, std::uint64_t seed)
-        : _stream(stream), _rng(seed)
+        : _stream(stream), _rng(seed),
+          _lines(stream == Stream::collide ? collidingLines(96)
+                                           : std::vector<Addr>())
     {}
 
     Store
@@ -91,6 +115,10 @@ class StoreStream
             addr = _rng.below(256) * 128;
             size = 128;
             break;
+          case Stream::collide:
+            addr = _lines[_rng.below(_lines.size())] + _rng.below(128);
+            size = static_cast<std::uint32_t>(_rng.range(1, 16));
+            break;
         }
         Addr line_end = (addr & ~Addr{127}) + 128;
         if (addr + size > line_end)
@@ -115,6 +143,8 @@ class StoreStream
     Stream _stream;
     common::Rng _rng;
     Addr _cursor = 0;
+    /** The collide stream's lines. */
+    std::vector<Addr> _lines;
 };
 
 /** Does @p entry hold exactly what the reference entry holds? */
@@ -254,9 +284,9 @@ rwqCases()
 {
     std::vector<RwqCase> cases;
     for (Stream stream : {Stream::dense, Stream::scattered, Stream::boundary,
-                          Stream::full_line})
+                          Stream::full_line, Stream::collide})
         for (std::uint32_t subheader : {2u, 5u})
-            for (std::uint32_t windows : {1u, 2u, 4u, 8u})
+            for (std::uint32_t windows : {1u, 2u, 4u, 8u, 16u, 32u, 64u})
                 cases.push_back({stream, subheader, windows});
     return cases;
 }
@@ -318,6 +348,55 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RwqCase> &info) {
         return caseName(info.param);
     });
+
+class RwqFullWindow : public ::testing::TestWithParam<std::uint32_t>
+{};
+
+TEST_P(RwqFullWindow, HitsEveryLineOfAWindowAtItsEntryBudget)
+{
+    FinePackConfig config = defaultConfig();
+    config.windows_per_partition = GetParam();
+    const std::uint32_t budget =
+        config.queue_entries / config.windows_per_partition;
+    RwqPartition partition(1, config);
+    ReferenceRwqPartition reference(1, config);
+
+    // One window, all lines in its 1 GiB range, filled to its budget
+    // with lines that share home buckets; then every line is hit, from
+    // the last filled to the first; then one more line overflows it.
+    const std::vector<Addr> lines = collidingLines(budget + 1);
+    std::vector<Store> stores;
+    for (std::uint32_t i = 0; i < budget; ++i)
+        stores.emplace_back(lines[i] + 8, 8, 0, 1);
+    for (std::uint32_t i = budget; i-- > 0;)
+        stores.emplace_back(lines[i] + 60, 8, 0, 1);
+    stores.emplace_back(lines[budget], 8, 0, 1);
+
+    std::vector<FlushedPartition> sink;
+    std::vector<ReferenceFlushedPartition> ref_sink;
+    for (std::size_t step = 0; step < stores.size(); ++step) {
+        partition.push(stores[step], sink);
+        reference.push(stores[step], ref_sink);
+        ASSERT_TRUE(sameFlushes(sink, ref_sink)) << "step " << step;
+        ASSERT_TRUE(sameState(partition, reference)) << "step " << step;
+        if (step + 1 < stores.size()) {
+            ASSERT_TRUE(sink.empty()) << "step " << step;
+            ASSERT_EQ(partition.window(0).entryCount(),
+                      std::min<std::size_t>(step + 1, budget));
+        }
+    }
+    EXPECT_EQ(partition.queueHits(), budget);
+    ASSERT_EQ(sink.size(), 1u);
+    EXPECT_EQ(sink[0].reason, FlushReason::entries_full);
+    EXPECT_EQ(sink[0].entries.size(), budget);
+    EXPECT_EQ(partition.window(0).entryCount(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, RwqFullWindow,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u, 64u),
+                         [](const auto &info) {
+                             return "windows" + std::to_string(info.param);
+                         });
 
 ::testing::AssertionResult
 sameLine(const WcLine &line, const ReferenceWcLine &ref)

@@ -209,11 +209,10 @@ TEST(RwqPartitionTest, SplitPreservesDataBytes)
 TEST(RwqPartitionTest, PayloadBudgetFlushes)
 {
     FinePackConfig config = defaultConfig();
-    config.queue_entries = 1024; // entry capacity never binds here
     RwqPartition partition(1, config);
 
     // Full-line stores cost 133 B each; 30 fit in 4096 (3990), the
-    // 31st does not.
+    // 31st does not, long before the 64 entries bind.
     std::uint32_t fits = 4096 / (128 + config.subheader_bytes);
     for (std::uint32_t i = 0; i < fits; ++i) {
         auto flushed = push(partition, makeStore(i * 128, 128));

@@ -9,8 +9,9 @@ must run and name the generation it simulated.
 generate accepts --scale, --gpus and --seed only as one whole number in
 range. A bad value must exit 2 with usage text instead of dying on a
 signal, aborting, or running with a silent default; valid edge values
-must generate a trace. So must a problem too small for its GPU count,
-naming the smallest scale that works.
+must generate a trace. A problem too small for its GPU count must
+exit 2 naming the smallest scale that works, and a ct trace over the
+store budget naming the largest GPU count that fits.
 
 The numeric flags of replay, profile and racecheck follow the same
 rule (--flight-recorder=N included), and any flag that takes a value
@@ -158,6 +159,19 @@ def main():
                      % (case, message[0], result.stderr))
             if expected == 0 and os.path.getsize(out) == 0:
                 fail("%s wrote an empty trace" % case)
+
+        # ct's trace grows as GPUs squared: over the store budget,
+        # generate refuses before it builds anything. (The largest
+        # count that fits is checked in-process, not generated.)
+        result = run([fptrace, "generate", "ct",
+                      os.path.join(tmp, "ct.fpt"),
+                      "--gpus", "1024", "--scale", "1e-6"])
+        if result.returncode != 2 or "usage:" not in result.stderr \
+                or "the largest GPU count that fits is 60" \
+                not in result.stderr:
+            fail("generate ct --gpus 1024 --scale 1e-6 exited %d, "
+                 "expected 2 with usage text naming 60 GPUs\n%s%s"
+                 % (result.returncode, result.stdout, result.stderr))
 
         for command, flags, expected in COMMAND_CASES:
             result = run([fptrace, command, trace] + flags)

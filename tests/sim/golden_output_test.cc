@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "check/digest.hh"
 #include "finepack/config.hh"
 #include "obs/metrics.hh"
 #include "sim/driver.hh"
@@ -112,8 +111,6 @@ replay(const GoldenRun &run, const trace::WorkloadTrace &trace)
     sim::SimConfig config = run.config;
     config.metrics = &metrics;
     sim::RunResult r = sim::SimulationDriver(config).run(trace, run.paradigm);
-    check::Digest stats;
-    stats.update(metrics.groupsJson());
     return {static_cast<std::uint64_t>(r.total_time),
             r.wire_bytes,
             r.payload_bytes,
@@ -123,7 +120,7 @@ replay(const GoldenRun &run, const trace::WorkloadTrace &trace)
             r.messages,
             r.finepack_packets,
             r.oracle_digest,
-            stats.value()};
+            metrics.digest()};
 }
 
 std::string

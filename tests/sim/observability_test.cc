@@ -10,6 +10,9 @@
 
 #include <sstream>
 
+#include "check/digest.hh"
+#include "common/build_info.hh"
+#include "common/json.hh"
 #include "obs/metrics.hh"
 #include "obs/sampler.hh"
 #include "obs/trace_event.hh"
@@ -184,6 +187,38 @@ TEST(ObservabilityTest, MetricsDocumentContainsPipelineGroups)
     // Time series ride along in the same document.
     const JsonValue &timeseries = doc.at("timeseries");
     EXPECT_GT(timeseries.at("tracks").object.size(), 0u);
+}
+
+TEST(ObservabilityTest, StatsDigestLeavesOutProvenance)
+{
+    Instruments inst;
+    SimulationDriver(inst.config())
+        .run(smallTrace("pagerank"), Paradigm::finepack);
+    ASSERT_TRUE(inst.metrics.captured());
+
+    // The document names the build; the digest must not, or builds of
+    // two commits with the same statistics would disagree.
+    std::ostringstream doc;
+    inst.metrics.writeDocument(doc, &inst.sampler);
+    EXPECT_NE(doc.str().find(common::buildInfo().git_sha),
+              std::string::npos);
+    const std::string &groups = inst.metrics.groupsJson();
+    EXPECT_EQ(groups.find("provenance"), std::string::npos);
+    EXPECT_EQ(groups.find(common::buildInfo().git_sha), std::string::npos);
+
+    check::Digest expected;
+    expected.update(groups);
+    EXPECT_EQ(inst.metrics.digest(), expected.value());
+
+    // With the sampler, its time series follows the groups.
+    std::ostringstream series;
+    {
+        common::JsonWriter json(series);
+        inst.sampler.dumpJson(json);
+    }
+    expected.update(series.str());
+    EXPECT_EQ(inst.metrics.digest(&inst.sampler), expected.value());
+    EXPECT_NE(inst.metrics.digest(&inst.sampler), inst.metrics.digest());
 }
 
 TEST(ObservabilityTest, InstrumentedRunsAreDeterministic)

@@ -204,3 +204,53 @@ TEST(WorkloadSizeTest, JacobiNamesTheSmallestScaleForItsGpuCount)
         EXPECT_EQ(e.kind(), common::SimError::Kind::Fatal);
     }
 }
+
+TEST(WorkloadSizeTest, CtNamesTheLargestGpuCountWithinTheStoreBudget)
+{
+    auto ct = createWorkload("ct");
+    WorkloadParams params;
+    params.scale = 1e-6; // 16 rays per GPU, the floor
+    params.num_gpus = 4;
+    // 3 iterations x 4 GPUs x 16 rays x 384 steps x 3 peers; the trace
+    // generated at this size holds 174,036.
+    EXPECT_EQ(ct->storeBound(params), 221'184u);
+
+    // The boundary, checked without generating either trace.
+    params.num_gpus = 60;
+    EXPECT_LE(ct->storeBound(params), Workload::max_trace_stores);
+    EXPECT_EQ(ct->sizeError(params), "");
+    params.num_gpus = 61;
+    EXPECT_GT(ct->storeBound(params), Workload::max_trace_stores);
+    EXPECT_EQ(ct->sizeError(params),
+              "ct is too big for 61 GPUs at scale 1e-06: up to 67461120 "
+              "stores, over the budget of 67108864; the largest GPU "
+              "count that fits is 60");
+
+    params.num_gpus = 1024;
+    EXPECT_EQ(ct->sizeError(params),
+              "ct is too big for 1024 GPUs at scale 1e-06: up to "
+              "19308478464 stores, over the budget of 67108864; the "
+              "largest GPU count that fits is 60");
+    // More rays per GPU leave room for fewer GPUs.
+    params.scale = 1.0;
+    params.num_gpus = 26;
+    EXPECT_NE(ct->sizeError(params).find("the largest GPU count that "
+                                         "fits is 25"),
+              std::string::npos);
+    // The bench and test sizes fit: 16 GPUs at scale 1.
+    params.num_gpus = 16;
+    EXPECT_EQ(ct->sizeError(params), "");
+
+    // Refused before anything is generated.
+    params.num_gpus = 1024;
+    params.scale = 1e-6;
+    try {
+        ct->generateTrace(params);
+        FAIL() << "an over-budget ct trace was generated";
+    } catch (const common::SimError &e) {
+        EXPECT_EQ(e.kind(), common::SimError::Kind::Fatal);
+    }
+    // Workloads without a bound are never refused for size.
+    auto pagerank = createWorkload("pagerank");
+    EXPECT_EQ(pagerank->storeBound(params), 0u);
+}

@@ -46,8 +46,9 @@
  *       under the same-tick race detector and report conflicting
  *       accesses between events at the same (tick, priority).
  *       Dynamically: re-run under N-1 shuffled tie-break seeds and
- *       diff the protocol-oracle digest, the stats JSON, and the run
- *       result against the insertion-order baseline. Exit 1 on any
+ *       diff the protocol-oracle digest, the stats groups and time
+ *       series (no build provenance), and the run result against the
+ *       insertion-order baseline. Exit 1 on any
  *       unwaived conflict or digest mismatch.
  *   list
  *       List the available workloads.
@@ -915,11 +916,7 @@ racecheckRun(const trace::WorkloadTrace &trace, sim::Paradigm paradigm,
     outcome.oracle_digest = result.oracle_digest;
     outcome.interrupted = result.interrupted;
 
-    check::Digest stats;
-    std::ostringstream doc;
-    metrics.writeDocument(doc, &sampler);
-    stats.update(doc.str());
-    outcome.stats_digest = stats.value();
+    outcome.stats_digest = metrics.digest(&sampler);
 
     check::Digest summary;
     summary.updateU64(result.total_time);
