@@ -379,6 +379,73 @@ TEST(TraceCorruptionTest, PipesAreReadThroughABuffer)
     EXPECT_THROW(readTrace(short_in), common::SimError);
 }
 
+TEST(TraceCorruptionTest, RangesPastTheTopOfTheAddressSpaceAreFatal)
+{
+    // Byte 2^64 - 2 is the last one a [begin, end) range can hold; a
+    // range that ends later wraps its end to a low address.
+    const Addr top = ~Addr{0};
+    auto trace = [](icn::Store store, icn::AddrRange copy,
+                    icn::AddrRange consumed) {
+        WorkloadTrace t;
+        t.workload = "edge";
+        t.num_gpus = 2;
+        IterationWork iter;
+        iter.per_gpu.resize(2);
+        iter.per_gpu[0].remote_stores.push_back(store);
+        iter.per_gpu[0].remote_stores.emplace_back(0, 1, 0, 1);
+        iter.per_gpu[0].dma_copies.push_back(DmaCopy{1, copy});
+        iter.consumed.resize(2);
+        iter.consumed[1].push_back(consumed);
+        t.iterations.push_back(iter);
+        return t;
+    };
+    const icn::Store store(0x1000, 16, 0, 1);
+    const icn::AddrRange copy{0x2000, 64};
+    const icn::AddrRange consumed{0x1000, 16};
+
+    // Ranges ending at 2^64 - 1 read back, and their bytes count.
+    {
+        std::stringstream buffer(serialize(
+            trace(icn::Store(top - 8, 8, 0, 1), {top - 64, 64},
+                  {top - 4, 4})));
+        UpdateSummary summary = summarizeTrace(readTrace(buffer));
+        EXPECT_EQ(summary.unique_bytes, 9u);
+        EXPECT_EQ(summary.useful_bytes, 4u);
+    }
+
+    // Each range that runs past the top is refused where it starts.
+    struct Case
+    {
+        const char *name;
+        WorkloadTrace trace;
+        Addr base;
+    };
+    const Case cases[] = {
+        {"store wraps", trace(icn::Store(top - 7, 16, 0, 1), copy, consumed),
+         top - 7},
+        {"store ends at 2^64", trace(icn::Store(top - 6, 7, 0, 1), copy,
+                                     consumed),
+         top - 6},
+        {"DMA copy ends at 2^64", trace(store, {top, 1}, consumed), top},
+        {"consumed range wraps", trace(store, copy, {top - 1, 3}),
+         top - 1},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string bytes = serialize(c.trace);
+        const std::size_t at = bytes.find(
+            std::string(reinterpret_cast<const char *>(&c.base), 8));
+        ASSERT_NE(at, std::string::npos);
+        const std::string message = fatalOf(bytes);
+        EXPECT_NE(message.find("range at byte " + std::to_string(at)),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("runs past the end of the 64-bit address"),
+                  std::string::npos)
+            << message;
+    }
+}
+
 TEST(TraceTotalsTest, StoreCountsAndBytes)
 {
     WorkloadTrace trace;
