@@ -26,7 +26,7 @@ mixTieKey(std::uint64_t seed, std::uint64_t sequence)
 } // namespace
 
 void
-EventQueue::schedule(Event *event, Tick when)
+EventQueue::scheduleReserved(Event *event, Tick when, std::uint64_t sequence)
 {
     fp_assert(event != nullptr, "cannot schedule null event");
     fp_assert(!event->_scheduled,
@@ -38,7 +38,7 @@ EventQueue::schedule(Event *event, Tick when)
               " now=", _now);
 
     event->_when = when;
-    event->_sequence = _next_sequence++;
+    event->_sequence = sequence;
     event->_scheduled = true;
     std::uint64_t tie_key =
         _shuffle ? mixTieKey(_shuffle_seed, event->_sequence)

@@ -17,7 +17,6 @@
 #define FP_COMMON_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -110,70 +109,66 @@ class LambdaEvent : public Event
 };
 
 /**
- * Reusable one-shot events that each carry one value to a member
- * function of their owner: a free list of as many Events as values
- * were ever in flight at once, made a block at a time, so a component
- * that schedules an event per message (a link's deliveries, an ingress
- * port's drains) allocates no LambdaEvent and std::function per
- * message. schedule() takes its sequence number at the call, through
- * EventQueue::schedule(Event *, Tick), so the event runs where a
- * lambda scheduled at that call with the same tick, priority and label
- * would. The pool owns its events, so (as for any Event) it must
- * outlive the queue entries that refer to them; an interrupted run's
- * still-queued values are released with it.
+ * Values handed, one at a time and in tick order, to a member function
+ * of their owner: a link's deliveries, an ingress port's drains. The
+ * values wait in a ring, each with the sequence number it took when it
+ * was scheduled, and the FIFO itself is the one Event in the queue,
+ * armed for the head value. So the heap holds one entry per owner,
+ * however many values are pending, and each value runs where a lambda
+ * scheduled at the same call with the same tick, priority and label
+ * would: the shuffled tie-break key derives from the sequence number
+ * too. A value's tick must come after every pending one's, so no two
+ * values of one FIFO ever tie and the shuffle cannot reorder them. The
+ * FIFO must outlive the queue entry that refers to it (as any Event
+ * must); an interrupted run's pending values are released with it.
  */
 template <typename Owner, typename Value, void (Owner::*Handler)(Value)>
-class EventPool
+class FifoEvent : private Event
 {
   public:
     /** @p label must be a string literal (see Event::description()). */
-    EventPool(Owner &owner, int priority, const char *label)
-        : _owner(owner), _priority(priority), _label(label)
+    FifoEvent(Owner &owner, EventQueue &queue, int priority,
+              const char *label)
+        : Event(priority), _owner(owner), _queue(queue), _label(label)
     {}
 
-    EventPool(const EventPool &) = delete;
-    EventPool &operator=(const EventPool &) = delete;
+    FifoEvent(const FifoEvent &) = delete;
+    FifoEvent &operator=(const FifoEvent &) = delete;
 
-    /** Hand @p value to the owner's handler at absolute tick @p when. */
-    void
-    schedule(EventQueue &queue, Value value, Tick when);
-
-    /** Events made so far: the most that were ever in flight at once. */
-    std::size_t size() const { return _events.size(); }
+    /**
+     * Hand @p value to the owner's handler at absolute tick @p when,
+     * which must be after the last pending value's tick.
+     */
+    void schedule(Value value, Tick when);
 
   private:
-    class Carrier : public Event
+    struct Pending
     {
-      public:
-        explicit Carrier(EventPool &pool)
-            : Event(pool._priority), _pool(pool)
-        {}
-
-        void
-        process() override
-        {
-            // Back on the free list before the handler runs, which may
-            // schedule into this same pool.
-            Value value = std::move(_value);
-            _pool._idle.push_back(this);
-            (_pool._owner.*Handler)(std::move(value));
-        }
-
-        const char *description() const override { return _pool._label; }
-
-      private:
-        friend class EventPool;
-
-        EventPool &_pool;
-        Value _value{};
+        Tick when = 0;
+        std::uint64_t sequence = 0;
+        Value value{};
     };
 
+    void process() override;
+    const char *description() const override { return _label; }
+
+    /** The @p i-th pending value (0 is the head). */
+    Pending &
+    at(std::size_t i)
+    {
+        return _ring[(_first + i) & (_ring.size() - 1)];
+    }
+
+    /** Double the ring, unwrapping it so the head is at slot 0. */
+    void grow();
+
     Owner &_owner;
-    int _priority;
+    EventQueue &_queue;
     const char *_label;
-    /** Every event made; a deque never moves what it holds. */
-    std::deque<Carrier> _events;
-    std::vector<Carrier *> _idle;
+    /** Pending values from _first on, in tick order; size a power of 2. */
+    std::vector<Pending> _ring;
+    std::size_t _first = 0;
+    std::size_t _size = 0;
 };
 
 /**
@@ -293,7 +288,8 @@ class EventQueue
     bool tieBreakShuffleEnabled() const { return _shuffle; }
 
     /** Schedule @p event at absolute time @p when (>= now). */
-    void schedule(Event *event, Tick when);
+    void schedule(Event *event, Tick when)
+    { scheduleReserved(event, when, takeSequence()); }
 
     /** (Re-)schedule an event, descheduling it first if already queued. */
     void reschedule(Event *event, Tick when);
@@ -342,7 +338,11 @@ class EventQueue
 
     // ---- Host-profiling operation counters (always on, near-free) ----
 
-    /** Total schedule() calls (heap pushes) since construction. */
+    /**
+     * Sequence numbers taken since construction: one per schedule()
+     * call and one per FifoEvent value. Only a FIFO's head is in the
+     * heap, so this counts more than the heap pushes.
+     */
     std::uint64_t eventsScheduled() const { return _next_sequence; }
 
     /**
@@ -351,13 +351,18 @@ class EventQueue
      */
     std::uint64_t staleDrops() const { return _stale_drops; }
 
-    /** High-water mark of the heap size (live + stale entries). */
+    /**
+     * High-water mark of the heap size (live + stale entries). A
+     * FifoEvent counts once however many values it holds, so this is
+     * not the most messages a run had on the wire.
+     */
     std::size_t peakDepth() const { return _peak_depth; }
 
     /**
-     * Current heap size (live + not-yet-pruned stale entries; an upper
-     * bound on pending events). The run-health layer samples this for
-     * heartbeats and wedge diagnosis; exact liveness would cost a scan.
+     * Current heap size: live and not-yet-pruned stale entries, each
+     * FifoEvent once for its head. The run-health layer samples this
+     * for heartbeats and wedge diagnosis; a nonzero depth means work
+     * is pending, and exact liveness would cost a scan.
      */
     std::size_t depth() const { return _queue.size(); }
 
@@ -369,6 +374,18 @@ class EventQueue
     std::size_t ownedPending() const { return _owned.size(); }
 
   private:
+    template <typename Owner, typename Value, void (Owner::*Handler)(Value)>
+    friend class FifoEvent;
+
+    /** Take the next sequence number, to schedule with later. */
+    std::uint64_t takeSequence() { return _next_sequence++; }
+
+    /**
+     * Schedule @p event at @p when with a @p sequence taken earlier,
+     * so it orders as if it had been scheduled when it was taken.
+     */
+    void scheduleReserved(Event *event, Tick when, std::uint64_t sequence);
+
     struct Entry
     {
         Tick when;
@@ -430,18 +447,41 @@ class EventQueue
 
 template <typename Owner, typename Value, void (Owner::*Handler)(Value)>
 void
-EventPool<Owner, Value, Handler>::schedule(EventQueue &queue, Value value,
-                                           Tick when)
+FifoEvent<Owner, Value, Handler>::schedule(Value value, Tick when)
 {
-    Carrier *event;
-    if (_idle.empty()) {
-        event = &_events.emplace_back(*this);
-    } else {
-        event = _idle.back();
-        _idle.pop_back();
-    }
-    event->_value = std::move(value);
-    queue.schedule(event, when);
+    fp_assert(_size == 0 || when > at(_size - 1).when, "'", _label,
+              "' scheduled at ", when, ", not after its last pending "
+              "value at ", at(_size - 1).when);
+    std::uint64_t sequence = _queue.takeSequence();
+    if (_size == 0)
+        _queue.scheduleReserved(this, when, sequence);
+    if (_size == _ring.size())
+        grow();
+    at(_size++) = Pending{when, sequence, std::move(value)};
+}
+
+template <typename Owner, typename Value, void (Owner::*Handler)(Value)>
+void
+FifoEvent<Owner, Value, Handler>::process()
+{
+    Value value = std::move(at(0).value);
+    _first = (_first + 1) & (_ring.size() - 1);
+    // Armed for the next value before the handler runs, which may
+    // schedule into this same FIFO.
+    if (--_size != 0)
+        _queue.scheduleReserved(this, at(0).when, at(0).sequence);
+    (_owner.*Handler)(std::move(value));
+}
+
+template <typename Owner, typename Value, void (Owner::*Handler)(Value)>
+void
+FifoEvent<Owner, Value, Handler>::grow()
+{
+    std::vector<Pending> ring(_ring.empty() ? 16 : 2 * _ring.size());
+    for (std::size_t i = 0; i < _size; ++i)
+        ring[i] = std::move(at(i));
+    _ring.swap(ring);
+    _first = 0;
 }
 
 /**

@@ -14,7 +14,7 @@ IngressPort::IngressPort(const std::string &name,
     : SimObject(name, queue),
       _self(self),
       _config(config),
-      _drains(*this, common::Event::prio_default, "ingress.drain")
+      _drains(*this, queue, common::Event::prio_default, "ingress.drain")
 {
     stats().registerScalar("messages", &_messages, "messages received");
     stats().registerScalar("stores", &_stores, "stores delivered to L2");
@@ -82,7 +82,7 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
 
     // Always schedule the drain-completion event so that running the
     // event queue dry implies all ingress buffers have emptied.
-    _drains.schedule(eventQueue(), msg, _busy_until);
+    _drains.schedule(msg, _busy_until);
 }
 
 void

@@ -80,8 +80,8 @@ class IngressPort : public common::SimObject
     GpuConfig _config;
     FunctionalMemory *_memory = nullptr;
     DeliveredFn _delivered_cb;
-    /** One reusable `ingress.drain` event per message draining. */
-    common::EventPool<IngressPort, icn::WireMessagePtr,
+    /** The `ingress.drain` events of the messages draining. */
+    common::FifoEvent<IngressPort, icn::WireMessagePtr,
                       &IngressPort::drained>
         _drains;
     obs::TraceSink *_tracer = nullptr;

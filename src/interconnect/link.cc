@@ -13,7 +13,7 @@ Link::Link(const std::string &name, common::EventQueue &queue,
       _bytes_per_tick(bytes_per_tick),
       _latency(latency),
       _deliver(std::move(deliver)),
-      _arrivals(*this, common::Event::prio_arrival, "link.deliver")
+      _arrivals(*this, queue, common::Event::prio_arrival, "link.deliver")
 {
     fp_assert(_bytes_per_tick > 0.0, "link bandwidth must be positive");
     stats().registerScalar("payload_bytes", &_payload_bytes,
@@ -168,7 +168,7 @@ Link::transmit(const WireMessagePtr &msg,
     if (on_transmit)
         on_transmit();
 
-    _arrivals.schedule(eventQueue(), msg, _busy_until + _latency);
+    _arrivals.schedule(msg, _busy_until + _latency);
 }
 
 void

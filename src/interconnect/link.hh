@@ -146,8 +146,8 @@ class Link : public common::SimObject
     Tick _latency;
     DeliverFn _deliver;
     Tick _busy_until = 0;
-    /** One reusable `link.deliver` event per message on the wire. */
-    common::EventPool<Link, WireMessagePtr, &Link::arrive> _arrivals;
+    /** The `link.deliver` events of the messages on the wire. */
+    common::FifoEvent<Link, WireMessagePtr, &Link::arrive> _arrivals;
 
     /** A credit-stalled message and the tick it was enqueued. */
     struct Pending

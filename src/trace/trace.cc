@@ -353,7 +353,9 @@ summarizeTrace(const WorkloadTrace &trace)
             normalizeSpans(consumed, scratch, boundsOf(consumed));
 
             // Both lists are sorted and disjoint: consumed spans that
-            // end before one updated span also end before the next.
+            // end before one updated span also end before the next. A
+            // consumed range that wraps past 2^64 ends below its begin
+            // and overlaps nothing.
             std::size_t first = 0;
             for (const auto &[begin, end] : spans) {
                 total.unique_bytes += end - begin;
@@ -361,10 +363,12 @@ summarizeTrace(const WorkloadTrace &trace)
                        consumed[first].second <= begin)
                     ++first;
                 for (std::size_t c = first;
-                     c < consumed.size() && consumed[c].first < end; ++c)
-                    total.useful_bytes +=
-                        std::min(end, consumed[c].second) -
-                        std::max(begin, consumed[c].first);
+                     c < consumed.size() && consumed[c].first < end; ++c) {
+                    const Addr lo = std::max(begin, consumed[c].first);
+                    const Addr hi = std::min(end, consumed[c].second);
+                    if (lo < hi)
+                        total.useful_bytes += hi - lo;
+                }
             }
         }
     }

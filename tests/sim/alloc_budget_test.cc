@@ -152,13 +152,13 @@ PrintTo(const Budget &budget, std::ostream *os)
 // All traces: 4 GPUs, seed 1, PCIe 4.0.
 const Budget budgets[] = {
     {"pagerank_finepack", "pagerank", 0.02, sim::Paradigm::finepack, 0,
-     false, 75'939, 1'378},
+     false, 75'939, 1'325},
     {"pagerank_finepack_checked", "pagerank", 0.02,
-     sim::Paradigm::finepack, 0, true, 75'939, 1'643},
+     sim::Paradigm::finepack, 0, true, 75'939, 1'590},
     {"pagerank_p2p_stores", "pagerank", 0.02, sim::Paradigm::p2p_stores,
-     0, false, 75'939, 1'230},
+     0, false, 75'939, 1'176},
     {"hit_finepack_sub2", "hit", 0.02, sim::Paradigm::finepack, 2, false,
-     147'456, 4'651},
+     147'456, 2'001},
 };
 
 trace::WorkloadTrace

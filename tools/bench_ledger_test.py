@@ -2,7 +2,8 @@
 """Unit tests for bench_ledger.py.
 
 The ledger must summarize pairs the way a reviewer reads them (median,
-quartiles, pairs won in the metric's direction), keep every result
+quartiles, pairs won in the metric's direction, an end-to-end median
+held against its bound, attempted and failed runs), keep every result
 line, and refuse to compare runs whose seeds, workloads or host differ.
 
 Run directly (python3 tools/bench_ledger_test.py) or via ctest
@@ -24,16 +25,20 @@ PROVENANCE = {"git_sha": "aaaa", "compiler": "GNU 12.2.0",
               "build_type": "Release", "sanitizer": "none",
               "fp_check": False, "nproc": 4}
 
-BENCHMARK = {"end_to_end": [{"name": "stores_per_s", "better": "higher"},
-                            {"name": "setup_s", "better": "lower"}],
-             "per_layer": []}
+BENCHMARK = {"end_to_end": [{"name": "stores_per_s", "better": "higher",
+                             "bound": 0.25},
+                            {"name": "setup_s", "better": "lower",
+                             "bound": 0.25}],
+             "per_layer": [{"name": "layer_ns", "better": "lower"}]}
 
 
-def result(workload, seed, metrics, trace=False, sha="aaaa", nproc=4):
+def result(workload, seed, metrics, trace=False, sha="aaaa", nproc=4,
+           attempted=3, failed=0):
     provenance = dict(PROVENANCE, git_sha=sha, nproc=nproc)
     return {"workload": workload, "seed": seed, "seconds": 5,
-            "trace": trace, "provenance": provenance, "attempted": 3,
-            "failed": 0, "runs": {}, "spans": {},
+            "trace": trace, "provenance": provenance,
+            "attempted": attempted, "failed": failed, "runs": {},
+            "spans": {},
             "metrics": {name: {"value": value, "unit": "u"}
                         for name, value in metrics.items()}}
 
@@ -89,6 +94,60 @@ class LedgerTest(unittest.TestCase):
         self.assertTrue(self.row(ledger, "setup_s")["beyond_parent_iqr"])
         # A metric BENCHMARK.json does not name has no winner.
         self.assertIsNone(self.row(ledger, "other")["pairs_won"])
+
+    def test_end_to_end_rows_hold_the_median_against_the_bound(self):
+        # stores_per_s: 20% lower, within its 0.25 bound; setup_s: twice
+        # as long, past it.
+        self.write_pairs([10, 10, 10], [8, 8, 8])
+        ledger = self.ledger()
+        rate = self.row(ledger, "stores_per_s")
+        self.assertAlmostEqual(rate["worse_by"], 0.2)
+        self.assertEqual(rate["bound"], 0.25)
+        self.assertTrue(rate["within_bound"])
+        setup = self.row(ledger, "setup_s")
+        self.assertAlmostEqual(setup["worse_by"], 1.0)
+        self.assertFalse(setup["within_bound"])
+        # Only bounded metrics carry the check.
+        self.assertNotIn("within_bound", self.row(ledger, "other"))
+
+    def test_a_better_median_is_within_any_bound(self):
+        self.write_pairs([10, 10, 10], [13, 13, 13])
+        rate = self.row(self.ledger(), "stores_per_s")
+        self.assertAlmostEqual(rate["worse_by"], -0.3)
+        self.assertTrue(rate["within_bound"])
+
+    def test_a_per_layer_metric_has_no_bound(self):
+        self.write("parent", result("w", 0, {"layer_ns": 1.0}))
+        self.write("change", result("w", 0, {"layer_ns": 5.0}))
+        row = self.row(self.ledger(), "layer_ns")
+        self.assertEqual(row["pairs_won"], 0)
+        self.assertNotIn("within_bound", row)
+
+    def test_a_zero_parent_median_is_out_of_bound_only_when_worse(self):
+        spec = BENCHMARK["end_to_end"][1]  # setup_s, lower is better
+        self.assertTrue(bench_ledger.bound_check(0, 0, spec)
+                        ["within_bound"])
+        self.assertFalse(bench_ledger.bound_check(0, 1, spec)
+                         ["within_bound"])
+
+    def test_totals_attempted_and_failed_runs_per_side(self):
+        for seed in range(2):
+            self.write("parent", result("w", seed, {"stores_per_s": 1.0},
+                                        attempted=4))
+            self.write("change", result("w", seed, {"stores_per_s": 1.0},
+                                        attempted=5, failed=seed + 1))
+        self.write("parent", result("w", 0, {"stores_per_s": 1.0},
+                                    trace=True))
+        self.write("change", result("w", 0, {"stores_per_s": 1.0},
+                                    trace=True))
+        self.assertEqual(self.ledger()["runs"], [
+            {"workload": "w", "trace": 0,
+             "parent": {"attempted": 8, "failed": 0},
+             "change": {"attempted": 10, "failed": 3}},
+            {"workload": "w", "trace": 1,
+             "parent": {"attempted": 3, "failed": 0},
+             "change": {"attempted": 3, "failed": 0}},
+        ])
 
     def test_keeps_every_result_line_and_both_provenances(self):
         self.write_pairs([1, 2, 3], [4, 5, 6])
