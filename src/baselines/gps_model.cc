@@ -17,11 +17,19 @@ GpsModel::beginIteration(const trace::IterationWork &iter)
     _pages.assign(iter.consumed.size(), {});
     for (GpuId g = 0; g < iter.consumed.size(); ++g) {
         for (const auto &range : iter.consumed[g]) {
+            // An empty range reads nothing, so it subscribes no page.
+            if (range.size == 0)
+                continue;
             Addr first = common::alignDown(range.base, _page_bytes);
             Addr last =
                 common::alignDown(range.base + range.size - 1, _page_bytes);
-            for (Addr page = first; page <= last; page += _page_bytes)
+            // Stop at the last page itself: a range that ends at the top
+            // of the address space has no page past it.
+            for (Addr page = first;; page += _page_bytes) {
                 _pages[g].insert(page);
+                if (page == last)
+                    break;
+            }
         }
     }
 }

@@ -57,12 +57,9 @@ void
 ProtocolOracle::storeBuffered(GpuId dst, const icn::Store &store)
 {
     fp_assert(store.size > 0, "oracle observed a zero-size store");
-    fp_assert(store.data.empty() || store.data.size() == store.size,
-              "oracle observed a store with inconsistent data size");
     ShadowMemory &pending = destination(dst).pending;
     _recorder.write(&pending, "oracle.shadow");
-    pending.write(store.addr, store.size,
-                  store.data.empty() ? nullptr : store.data.data());
+    pending.write(store.addr, store.size, store.data);
     ++_stores_recorded;
 }
 
@@ -161,14 +158,13 @@ ProtocolOracle::retireBytes(const icn::Store &store, ShadowMemory &image)
                      " was not in the flushed image (duplicate "
                      "coverage or offset-encoding bug)");
         }
-        if (ref.has_value && !store.data.empty() &&
-            store.data[i] != ref.value) {
+        if (ref.has_value && store.data && store.data[i] != ref.value) {
             fp_panic("oracle: de-packetized byte ", addr, " has value ",
                      static_cast<unsigned>(store.data[i]),
                      " but the source stored ",
                      static_cast<unsigned>(ref.value));
         }
-        if (ref.has_value && !store.data.empty())
+        if (ref.has_value && store.data)
             ++_value_bytes_verified;
         ++_bytes_verified;
         image.erase(addr);
@@ -209,8 +205,8 @@ ProtocolOracle::verifyMessage(const icn::WireMessage &msg,
     for (const icn::Store &store : stores) {
         _digest.updateU64(store.addr);
         _digest.updateU64(store.size);
-        if (!store.data.empty())
-            _digest.update(store.data.data(), store.data.size());
+        if (store.data)
+            _digest.update(store.data, store.size);
         // Structural sub-packet checks: the offset must be encodable in
         // the sub-header's offset field and the length in its 10-bit
         // length field.
@@ -238,9 +234,7 @@ ProtocolOracle::verifyMessage(const icn::WireMessage &msg,
         const ShadowMemory::Line *ref = image.find(line_addr);
         const LineMask bytes = lineMask(offset, store.size);
         LineMask valued{};
-        if (!holds(ref, bytes,
-                   store.data.empty() ? nullptr : store.data.data(), offset,
-                   valued)) {
+        if (!holds(ref, bytes, store.data, offset, valued)) {
             retireBytes(store, image);
             continue;
         }

@@ -91,10 +91,10 @@ QueueEntry::merge(std::uint32_t offset, const icn::Store &store)
     const std::uint32_t overwritten = enabledIn(offset, end);
     enables[0] |= wordBits(0, offset, end);
     enables[1] |= wordBits(1, offset, end);
-    if (!store.data.empty()) {
+    if (store.data) {
         if (data.empty())
             data.assign(FinePackConfig::entry_bytes, 0);
-        std::copy_n(store.data.begin(), store.size, data.begin() + offset);
+        std::copy_n(store.data, store.size, data.begin() + offset);
     }
     return overwritten;
 }
@@ -149,8 +149,8 @@ RwqWindow::windowHi() const
 }
 
 std::optional<FlushReason>
-RwqWindow::tryInsert(const icn::Store &store, std::uint64_t stamp,
-                     InsertOutcome &outcome)
+RwqWindow::tryInsert(const icn::Store &store, Tick issue_tick,
+                     std::uint64_t stamp, InsertOutcome &outcome)
 {
     fp_assert(!_entries.empty(), "tryInsert into an empty window");
     const Addr line = common::alignDown(store.addr, _config.entry_bytes);
@@ -159,12 +159,13 @@ RwqWindow::tryInsert(const icn::Store &store, std::uint64_t stamp,
         return FlushReason::payload_full;
     if (at.slot == _entries.size() && _entries.size() >= _entry_budget)
         return FlushReason::entries_full;
-    outcome = place(store, line, at, stamp);
+    outcome = place(store, issue_tick, line, at, stamp);
     return std::nullopt;
 }
 
 RwqWindow::InsertOutcome
-RwqWindow::insert(const icn::Store &store, std::uint64_t stamp)
+RwqWindow::insert(const icn::Store &store, Tick issue_tick,
+                  std::uint64_t stamp)
 {
     fp_assert(_entries.empty(), "insert into a window already open");
     fp_assert(_available_payload == _config.max_payload,
@@ -176,12 +177,12 @@ RwqWindow::insert(const icn::Store &store, std::uint64_t stamp)
     _hi = _lo + _config.addressableRange();
     // On a cleared index the probe ends at the home bucket.
     const Addr line = common::alignDown(store.addr, _config.entry_bytes);
-    return place(store, line, probe(line), stamp);
+    return place(store, issue_tick, line, probe(line), stamp);
 }
 
 RwqWindow::InsertOutcome
-RwqWindow::place(const icn::Store &store, Addr line, const Probe &at,
-                 std::uint64_t stamp)
+RwqWindow::place(const icn::Store &store, Tick issue_tick, Addr line,
+                 const Probe &at, std::uint64_t stamp)
 {
     InsertOutcome outcome;
     // Exact payload accounting: the packed cost of all entries plus the
@@ -239,8 +240,8 @@ RwqWindow::place(const icn::Store &store, Addr line, const Probe &at,
                   "new entry cost exceeded the checked budget");
         _available_payload -= cost;
     }
-    if (store.issue_tick != max_tick)
-        _stamps.push_back({store.issue_tick, store.size});
+    if (issue_tick != max_tick)
+        _stamps.push_back({issue_tick, store.size});
     ++_buffered_stores;
     _last_use = stamp;
 
@@ -342,7 +343,7 @@ RwqPartition::RwqPartition(GpuId dst, const FinePackConfig &config)
 
 void
 RwqPartition::push(const icn::Store &store,
-                   std::vector<FlushedPartition> &sink)
+                   std::vector<FlushedPartition> &sink, Tick issue_tick)
 {
     fp_assert(store.dst == _dst, "store routed to wrong partition");
     fp_assert(!store.is_atomic, "atomics do not enter the write queue");
@@ -365,22 +366,19 @@ RwqPartition::push(const icn::Store &store,
         icn::Store tail = store;
         tail.addr = split;
         tail.size = static_cast<std::uint32_t>(store.end() - split);
-        if (!store.data.empty()) {
-            head.data.assign(store.data.begin(),
-                             store.data.begin() + head.size);
-            tail.data.assign(store.data.begin() + head.size,
-                             store.data.end());
-        }
-        pushPiece(head, sink);
-        pushPiece(tail, sink);
+        if (store.data)
+            tail.data = store.data + head.size;
+        pushPiece(head, sink, issue_tick);
+        pushPiece(tail, sink, issue_tick);
         return;
     }
-    pushPiece(store, sink);
+    pushPiece(store, sink, issue_tick);
 }
 
 void
 RwqPartition::pushPiece(const icn::Store &store,
-                        std::vector<FlushedPartition> &sink)
+                        std::vector<FlushedPartition> &sink,
+                        Tick issue_tick)
 {
     ++_stores_pushed;
     _bytes_pushed += store.size;
@@ -394,11 +392,11 @@ RwqPartition::pushPiece(const icn::Store &store,
             continue;
         RwqWindow::InsertOutcome outcome;
         if (std::optional<FlushReason> reason =
-                window.tryInsert(store, stamp, outcome)) {
+                window.tryInsert(store, issue_tick, stamp, outcome)) {
             // Payload or entry capacity: flush this window, the store
             // seeds its replacement.
             captureWindow(window, *reason, sink);
-            outcome = window.insert(store, stamp);
+            outcome = window.insert(store, issue_tick, stamp);
         }
         inserted(store, outcome);
         return;
@@ -407,7 +405,7 @@ RwqPartition::pushPiece(const icn::Store &store,
     // 2. An empty window to open?
     for (RwqWindow &window : _windows) {
         if (window.empty()) {
-            inserted(store, window.insert(store, stamp));
+            inserted(store, window.insert(store, issue_tick, stamp));
             return;
         }
     }
@@ -419,7 +417,7 @@ RwqPartition::pushPiece(const icn::Store &store,
         if (window.lastUse() < victim->lastUse())
             victim = &window;
     captureWindow(*victim, FlushReason::window_violation, sink);
-    inserted(store, victim->insert(store, stamp));
+    inserted(store, victim->insert(store, issue_tick, stamp));
 }
 
 void
@@ -516,10 +514,10 @@ RemoteWriteQueue::RemoteWriteQueue(GpuId self, std::uint32_t num_gpus,
 
 void
 RemoteWriteQueue::push(const icn::Store &store,
-                       std::vector<FlushedPartition> &sink)
+                       std::vector<FlushedPartition> &sink, Tick issue_tick)
 {
     fp_assert(store.dst != _self, "store to self reached the write queue");
-    partition(store.dst).push(store, sink);
+    partition(store.dst).push(store, sink, issue_tick);
 }
 
 std::vector<FlushedPartition>

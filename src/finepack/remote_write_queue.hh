@@ -136,7 +136,8 @@ struct FlushedPartition
     FlushReason reason = FlushReason::release;
     /**
      * Issue stamps of the folded stores, in buffering order (latency
-     * attribution only; empty when stores carry no issue_tick).
+     * attribution only; empty when stores were pushed without an
+     * issue tick).
      */
     std::vector<obs::StoreStamp> store_stamps;
 
@@ -245,7 +246,8 @@ class RwqWindow
     };
 
     /**
-     * Insert @p store, which this non-empty window covers, stamping the
+     * Insert @p store, which this non-empty window covers and which
+     * issued at @p issue_tick (max_tick: not stamped), stamping the
      * window with @p stamp; one tag-index probe serves the capacity
      * check and the insert. @return why the store cannot join, leaving
      * the window as it was: the store plus one sub-header overruns the
@@ -254,14 +256,17 @@ class RwqWindow
      * @p outcome filled in.
      */
     std::optional<FlushReason> tryInsert(const icn::Store &store,
+                                         Tick issue_tick,
                                          std::uint64_t stamp,
                                          InsertOutcome &outcome);
 
     /**
-     * Seed this empty window with @p store, stamping it with @p stamp:
-     * the base address register takes the store's address.
+     * Seed this empty window with @p store, issued at @p issue_tick,
+     * stamping it with @p stamp: the base address register takes the
+     * store's address.
      */
-    InsertOutcome insert(const icn::Store &store, std::uint64_t stamp);
+    InsertOutcome insert(const icn::Store &store, Tick issue_tick,
+                         std::uint64_t stamp);
 
     /** Does any buffered byte overlap [addr, addr+size)? */
     bool conflicts(Addr addr, std::uint32_t size) const;
@@ -296,8 +301,8 @@ class RwqWindow
     Probe probe(Addr line) const;
 
     /** Merge @p store into the line @p at names, or fill a new slot. */
-    InsertOutcome place(const icn::Store &store, Addr line, const Probe &at,
-                        std::uint64_t stamp);
+    InsertOutcome place(const icn::Store &store, Tick issue_tick, Addr line,
+                        const Probe &at, std::uint64_t stamp);
 
     FinePackConfig _config;
     std::uint32_t _entry_budget;
@@ -336,8 +341,9 @@ class RwqPartition
     RwqPartition(GpuId dst, const FinePackConfig &config);
 
     /**
-     * Buffer one store. Any windows that must flush to make room
-     * (window violation with all windows busy, payload budget, or
+     * Buffer one store, issued at @p issue_tick (latency attribution;
+     * max_tick records no stamp). Any windows that must flush to make
+     * room (window violation with all windows busy, payload budget, or
      * entry capacity) are appended to @p sink; the store then seeds or
      * joins a window. A store crossing a window-grid boundary (only
      * possible when the addressable range is smaller than two cache
@@ -346,8 +352,8 @@ class RwqPartition
      * The store must not cross a 128 B line boundary and must not be
      * an atomic (the egress port handles those cases).
      */
-    void push(const icn::Store &store,
-              std::vector<FlushedPartition> &sink);
+    void push(const icn::Store &store, std::vector<FlushedPartition> &sink,
+              Tick issue_tick = max_tick);
 
     /**
      * Flush all windows (synchronization); empty windows contribute
@@ -419,7 +425,7 @@ class RwqPartition
     }
 
     void pushPiece(const icn::Store &store,
-                   std::vector<FlushedPartition> &sink);
+                   std::vector<FlushedPartition> &sink, Tick issue_tick);
     /** Flush @p window into @p sink, notifying the observer in order. */
     void captureWindow(RwqWindow &window, FlushReason reason,
                        std::vector<FlushedPartition> &sink);
@@ -454,9 +460,9 @@ class RemoteWriteQueue
     RemoteWriteQueue(GpuId self, std::uint32_t num_gpus,
                      const FinePackConfig &config);
 
-    /** Buffer a store for its destination partition. */
-    void push(const icn::Store &store,
-              std::vector<FlushedPartition> &sink);
+    /** Buffer a store for its destination partition (see RwqPartition). */
+    void push(const icn::Store &store, std::vector<FlushedPartition> &sink,
+              Tick issue_tick = max_tick);
 
     /** Flush every partition (system-scoped release). */
     std::vector<FlushedPartition> flushAll(FlushReason reason);

@@ -72,9 +72,8 @@ FinePackTransaction::unpackInto(std::vector<icn::Store> &stores) const
         store.size = _subs[i].length;
         store.src = _src;
         store.dst = _dst;
-        store.data.assign(_subs[i].data.begin(), _subs[i].data.end());
+        store.data = _subs[i].data.empty() ? nullptr : _subs[i].data.data();
         store.is_atomic = false;
-        store.issue_tick = max_tick;
     }
 }
 

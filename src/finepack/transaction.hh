@@ -83,14 +83,13 @@ class FinePackTransaction
 
     /**
      * Disaggregate into plain stores (the de-packetizer operation):
-     * each sub-packet becomes a store at base + offset.
+     * each sub-packet becomes a store at base + offset whose payload
+     * points into the sub-packet's bytes, so the stores are valid
+     * while this transaction is unchanged.
      */
     std::vector<icn::Store> unpack() const;
 
-    /**
-     * unpack() into @p stores, reusing the storage of the vector and
-     * of the stores it already holds.
-     */
+    /** unpack() into @p stores, reusing the vector's storage. */
     void unpackInto(std::vector<icn::Store> &stores) const;
 
   private:

@@ -96,9 +96,8 @@ WriteCombineBuffer::lineToMessage(const WcLine &line,
         return msg;
     line.entry.forEachRun([&](std::uint32_t start, std::uint32_t len) {
         icn::Store store(line.entry.line_addr + start, len, _src, _dst);
-        store.data.assign(line.entry.data.begin() + start,
-                          line.entry.data.begin() + start + len);
-        msg->stores.push_back(std::move(store));
+        store.data = line.entry.data.data() + start;
+        msg->addStore(store);
     });
     return msg;
 }

@@ -169,10 +169,10 @@ EgressPort::issueStore(const icn::Store &store)
     Addr begin = store.begin();
     Addr end = store.end();
     const std::uint32_t line = _config.entry_bytes;
-    if (!_latency &&
-        common::alignDown(begin, line) == common::alignDown(end - 1, line)) {
-        // Neither split nor stamped: the store goes as it is.
-        issuePiece(store);
+    const Tick issue_tick = _latency ? curTick() : max_tick;
+    if (common::alignDown(begin, line) == common::alignDown(end - 1, line)) {
+        // Not split: the store goes as it is.
+        issuePiece(store, issue_tick);
         return;
     }
     while (begin < end) {
@@ -181,25 +181,20 @@ EgressPort::issueStore(const icn::Store &store)
         icn::Store piece = store;
         piece.addr = begin;
         piece.size = static_cast<std::uint32_t>(piece_end - begin);
-        if (_latency)
-            piece.issue_tick = curTick();
-        if (!store.data.empty()) {
-            auto off = static_cast<std::size_t>(begin - store.begin());
-            piece.data.assign(store.data.begin() + off,
-                              store.data.begin() + off + piece.size);
-        }
-        issuePiece(piece);
+        if (store.data)
+            piece.data = store.data + (begin - store.begin());
+        issuePiece(piece, issue_tick);
         begin = piece_end;
     }
 }
 
 void
-EgressPort::issuePiece(const icn::Store &piece)
+EgressPort::issuePiece(const icn::Store &piece, Tick issue_tick)
 {
     if (piece.is_atomic)
         issueAtomic(piece);
     else
-        issueAligned(piece);
+        issueAligned(piece, issue_tick);
 }
 
 void
@@ -241,8 +236,8 @@ EgressPort::issueStores(const std::vector<icn::Store> &stores,
             msg->data_bytes += store.size;
             ++msg->packed_store_count;
             ++msg->delivered_stores;
-            if (!store.data.empty())
-                msg->stores.push_back(store);
+            if (store.data)
+                msg->addStore(store);
             if (_latency)
                 msg->store_stamps.push_back({curTick(), store.size});
         }
@@ -262,7 +257,7 @@ EgressPort::issueStores(const std::vector<icn::Store> &stores,
 }
 
 void
-EgressPort::issueAligned(const icn::Store &store)
+EgressPort::issueAligned(const icn::Store &store, Tick issue_tick)
 {
     ++_stores_issued;
     _store_sizes.sample(store.size);
@@ -276,7 +271,7 @@ EgressPort::issueAligned(const icn::Store &store)
             .write(&_rwq->partition(store.dst),
                    _rwq_labels[store.dst].c_str());
         _flush_scratch.clear();
-        _rwq->push(store, _flush_scratch);
+        _rwq->push(store, _flush_scratch, issue_tick);
         for (auto &flushed : _flush_scratch)
             if (!flushed.empty())
                 sendFlushed(flushed);
@@ -382,8 +377,8 @@ EgressPort::sendRaw(const icn::Store &store, icn::MessageKind kind)
     msg->data_bytes = store.size;
     msg->packed_store_count = 1;
     msg->delivered_stores = 1;
-    if (!store.data.empty())
-        msg->stores.push_back(store);
+    if (store.data)
+        msg->addStore(store);
     if (_latency)
         msg->store_stamps.push_back({curTick(), store.size});
 

@@ -134,9 +134,12 @@ class EgressPort : public common::SimObject
     double avgStoresPerMessage() const;
 
   private:
-    /** Issue one line-contained piece of a store. */
-    void issuePiece(const icn::Store &piece);
-    void issueAligned(const icn::Store &store);
+    /**
+     * Issue one line-contained piece of a store, issued at
+     * @p issue_tick (max_tick when latency attribution is off).
+     */
+    void issuePiece(const icn::Store &piece, Tick issue_tick);
+    void issueAligned(const icn::Store &store, Tick issue_tick);
     void issueAtomic(const icn::Store &store);
     void sendRaw(const icn::Store &store, icn::MessageKind kind);
     /**

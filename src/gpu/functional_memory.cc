@@ -30,10 +30,10 @@ FunctionalMemory::pageForConst(Addr addr) const
 void
 FunctionalMemory::apply(const icn::Store &store)
 {
-    fp_assert(store.data.size() == store.size,
+    fp_assert(store.data != nullptr,
               "functional apply needs payload data (addr=", store.addr,
               ")");
-    write(store.addr, store.data.data(), store.size);
+    write(store.addr, store.data, store.size);
 }
 
 void

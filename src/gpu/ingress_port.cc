@@ -37,7 +37,7 @@ IngressPort::receive(const icn::WireMessagePtr &msg)
 
     if (_memory) {
         for (const icn::Store &store : msg->stores) {
-            if (!store.data.empty())
+            if (store.data)
                 _memory->apply(store);
         }
     }

@@ -17,6 +17,30 @@ constexpr std::size_t max_slab_blocks = 512;
 
 } // namespace
 
+void
+WireMessage::addStore(const Store &store)
+{
+    Store &added = stores.emplace_back(store);
+    if (!store.data)
+        return;
+    const std::uint8_t *before = store_bytes.data();
+    store_bytes.insert(store_bytes.end(), store.data,
+                       store.data + store.size);
+    if (store_bytes.data() == before) {
+        added.data = store_bytes.data() + store_bytes.size() - store.size;
+        return;
+    }
+    // The bytes moved: point every store with payload at its new place
+    // (their bytes lie in store order).
+    std::size_t offset = 0;
+    for (Store &held : stores) {
+        if (!held.data)
+            continue;
+        held.data = store_bytes.data() + offset;
+        offset += held.size;
+    }
+}
+
 class MessagePool::FreeList
 {
   public:

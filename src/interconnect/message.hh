@@ -74,6 +74,8 @@ struct WireMessage
      * ingress applies them). Timing runs leave it empty.
      */
     std::vector<Store> stores;
+    /** The payload bytes of `stores`, which point into it. */
+    std::vector<std::uint8_t> store_bytes;
 
     /** For dma_chunk messages: the copied address range. */
     AddrRange dma_range;
@@ -91,6 +93,12 @@ struct WireMessage
     std::vector<obs::StoreStamp> store_stamps;
 
     std::uint64_t wireBytes() const { return payload_bytes + header_bytes; }
+
+    /**
+     * Append @p store to `stores`, copying its payload (if any) into
+     * `store_bytes`, so the message owns every byte it delivers.
+     */
+    void addStore(const Store &store);
 };
 
 using WireMessagePtr = std::shared_ptr<WireMessage>;

@@ -12,13 +12,17 @@
 #define FP_ICN_STORE_HH
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "common/types.hh"
 
 namespace fp::icn {
 
-/** A single remote store as seen at the GPU's network egress port. */
+/**
+ * A single remote store as seen at the GPU's network egress port: a
+ * 32-byte plain record, so a trace is an array of them that copies and
+ * serializes as raw bytes (trace/trace.hh).
+ */
 struct Store
 {
     /** Device-local byte address on the destination GPU. */
@@ -29,21 +33,19 @@ struct Store
     GpuId src = invalid_gpu;
     /** GPU whose memory is written. */
     GpuId dst = invalid_gpu;
-    /**
-     * Optional payload bytes (size() == 0 or == size). Timing-only
-     * simulations omit the data; functional tests carry it so that
-     * coalescing/packetization round trips can be checked for value
-     * preservation.
-     */
-    std::vector<std::uint8_t> data;
     /** Remote atomics bypass coalescing and flush aliasing queue entries. */
     bool is_atomic = false;
+    /** Always zero: they make the record's padding explicit. */
+    std::uint8_t reserved[3] = {};
     /**
-     * Simulated tick this store issued at the egress port; max_tick
-     * (obs::no_stamp) when latency attribution is off. Not part of the
-     * wire format: trace (de)serialization ignores it.
+     * The @ref size payload bytes, or null. Non-owning: timing runs
+     * leave it null; functional tests point it into a buffer they
+     * keep alive, so coalescing and packetization round trips can be
+     * checked for value preservation. A split store points into its
+     * parent's bytes, and a wire message owns the bytes its stores
+     * point into (icn::WireMessage::addStore).
      */
-    Tick issue_tick = max_tick;
+    const std::uint8_t *data = nullptr;
 
     Store() = default;
 
@@ -61,6 +63,12 @@ struct Store
         return begin() < other.end() && other.begin() < end();
     }
 };
+
+static_assert(sizeof(Store) == 32, "a store record is 32 bytes");
+static_assert(std::is_trivially_copyable_v<Store>,
+              "a store record copies as raw bytes");
+static_assert(std::has_unique_object_representations_v<Store>,
+              "a store record has no implicit padding");
 
 /** A contiguous address range, used for DMA copies and consumption sets. */
 struct AddrRange

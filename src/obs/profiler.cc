@@ -39,10 +39,16 @@ Profiler::beginRun(common::EventQueue *queue)
     _queue = queue;
     _queue->addObserver(this);
     _run_start_ns = nowNs();
-    if (!_origin_set) {
-        _origin_ns = _run_start_ns;
-        _origin_set = true;
-    }
+    markOrigin(_run_start_ns);
+}
+
+void
+Profiler::markOrigin(std::uint64_t now_ns)
+{
+    if (_origin_set)
+        return;
+    _origin_ns = now_ns;
+    _origin_set = true;
 }
 
 void
@@ -94,8 +100,10 @@ Profiler::pushFrame(const char *label, bool is_scope)
     // event, so no event is open below a timeline frame.
     const bool timeline =
         is_scope && (_stack.empty() || _stack.back().timeline);
-    _stack.push_back(
-        Frame{bucketFor(label), nowNs(), /*child_ns=*/0, timeline});
+    const std::uint64_t start = nowNs();
+    if (timeline)
+        markOrigin(start);
+    _stack.push_back(Frame{bucketFor(label), start, /*child_ns=*/0, timeline});
 }
 
 void
@@ -204,7 +212,7 @@ Profiler::emitTrace(TraceSink &sink) const
     // Host ns -> trace ticks: ticks are ps and the sink renders
     // ts / 1e6 µs, so multiplying by 1000 makes 1 host ns = 1 trace ns.
     // The host timeline thus shares the view's µs axis while measuring
-    // a different clock (wall time since the first beginRun()).
+    // a different clock (wall time since the first run or scope).
     Tick last = 0;
     for (const Slice &slice : _slices) {
         sink.complete(trace_pid_host, 0, slice.label, "host",

@@ -142,8 +142,10 @@ class Profiler : public common::EventQueueObserver
      * manual Scope frame (capped; see droppedSlices()) plus an
      * events-per-second counter, under a dedicated host pid
      * (trace_pid_host). Host timestamps are wall ns since the first
-     * beginRun(), scaled so they render as microseconds alongside the
-     * simulated timeline - a second clock domain in the same view.
+     * beginRun() or timeline scope, whichever came first (a trace load
+     * precedes every run), scaled so they render as microseconds
+     * alongside the simulated timeline - a second clock domain in the
+     * same view.
      */
     void emitTrace(TraceSink &sink) const;
 
@@ -208,7 +210,10 @@ class Profiler : public common::EventQueueObserver
     std::uint64_t _queue_stale_drops = 0;
     std::size_t _queue_peak_depth = 0;
 
-    /** Wall-ns origin of the host timeline (first beginRun()). */
+    /** Make @p now_ns the timeline origin unless one is set. */
+    void markOrigin(std::uint64_t now_ns);
+
+    /** Wall-ns origin of the host timeline (first run or frame). */
     std::uint64_t _origin_ns = 0;
     bool _origin_set = false;
     std::uint64_t _run_start_ns = 0;

@@ -46,6 +46,33 @@ TEST(GpsModelTest, NonReadersUnsubscribed)
     EXPECT_FALSE(gps.subscribed(3, 0x3000));
 }
 
+TEST(GpsModelTest, EmptyRangesSubscribeNothing)
+{
+    trace::IterationWork iter;
+    iter.per_gpu.resize(2);
+    iter.consumed.resize(2);
+    iter.consumed[1].push_back(icn::AddrRange{5, 0});
+    iter.consumed[1].push_back(icn::AddrRange{0, 0});
+    GpsModel gps;
+    gps.beginIteration(iter);
+    EXPECT_FALSE(gps.subscribed(1, 0));
+    EXPECT_FALSE(gps.subscribed(1, 5));
+    EXPECT_FALSE(gps.subscribed(1, ~Addr{0}));
+}
+
+TEST(GpsModelTest, RangesEndingAtTheTopSubscribeTheLastPage)
+{
+    trace::IterationWork iter;
+    iter.per_gpu.resize(2);
+    iter.consumed.resize(2);
+    iter.consumed[1].push_back(icn::AddrRange{~Addr{0} - 0x1800, 0x1800});
+    GpsModel gps;
+    gps.beginIteration(iter);
+    EXPECT_TRUE(gps.subscribed(1, ~Addr{0} - 0x1000));
+    EXPECT_TRUE(gps.subscribed(1, ~Addr{0} - 1));
+    EXPECT_FALSE(gps.subscribed(1, 0));
+}
+
 TEST(GpsModelTest, NoDataMeansConservativeSend)
 {
     GpsModel gps;

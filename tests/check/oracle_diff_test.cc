@@ -31,6 +31,7 @@
 #include "finepack/remote_write_queue.hh"
 #include "interconnect/protocol.hh"
 #include "../support/reference_oracle.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -251,9 +252,10 @@ nextStore(const OracleCase &c, common::Rng &rng, Addr &cursor)
     Store store(addr, size, src_gpu, dst_gpu);
     if (c.payload == Payload::all ||
         (c.payload == Payload::some && rng.chance(0.5))) {
-        store.data.resize(size);
-        for (auto &byte : store.data)
+        std::vector<std::uint8_t> bytes(size);
+        for (auto &byte : bytes)
             byte = static_cast<std::uint8_t>(rng.next());
+        store.data = fp::testing::payload(std::move(bytes));
     }
     return store;
 }
@@ -265,10 +267,14 @@ randomTamper(common::Rng &rng, const FinePackConfig &config)
     switch (rng.below(7)) {
       case 0: // a flipped data bit (an address shift when data-less)
         return [](icn::WireMessage &, std::vector<Store> &stores) {
-            if (stores.back().data.empty())
+            if (!stores.back().data) {
                 stores.back().addr += 1;
-            else
-                stores.back().data.back() ^= 0x10;
+                return;
+            }
+            std::vector<std::uint8_t> bytes =
+                fp::testing::bytesOf(stores.back());
+            bytes.back() ^= 0x10;
+            stores.back().data = fp::testing::payload(std::move(bytes));
         };
       case 1: // a mis-decoded sub-header offset
         return [](icn::WireMessage &, std::vector<Store> &stores) {
@@ -370,9 +376,10 @@ Store
 makeStore(Addr addr, std::uint32_t size)
 {
     Store store(addr, size, src_gpu, dst_gpu);
-    store.data.resize(size);
+    std::vector<std::uint8_t> bytes(size);
     for (std::uint32_t i = 0; i < size; ++i)
-        store.data[i] = static_cast<std::uint8_t>((addr + i) * 31 + 7);
+        bytes[i] = static_cast<std::uint8_t>((addr + i) * 31 + 7);
+    store.data = fp::testing::payload(std::move(bytes));
     return store;
 }
 
@@ -431,7 +438,7 @@ TEST(OracleDifferentialTamper, CorruptedData)
 {
     Pipeline pipe;
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
-    msg->stores[0].data[3] ^= 0x01;
+    msg->store_bytes[3] ^= 0x01; // byte 3 of stores[0]
     EXPECT_TRUE(pipe.bothReject(*msg));
 }
 
@@ -450,7 +457,7 @@ TEST(OracleDifferentialTamper, MergedRunsIgnoringByteEnables)
                                     makeStore(0x1010, 4)});
     ASSERT_EQ(msg->stores.size(), 2u);
     Store merged(0x1000, 0x14, src_gpu, dst_gpu);
-    merged.data.resize(0x14, 0);
+    merged.data = fp::testing::payload(std::vector<std::uint8_t>(0x14, 0));
     msg->stores = {merged};
     EXPECT_TRUE(pipe.bothReject(*msg));
 }

@@ -20,6 +20,7 @@
 #include "finepack/packetizer.hh"
 #include "finepack/remote_write_queue.hh"
 #include "interconnect/protocol.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -35,10 +36,11 @@ Store
 makeStore(Addr addr, std::uint32_t size)
 {
     Store store(addr, size, src_gpu, dst_gpu);
-    store.data.resize(size);
+    std::vector<std::uint8_t> bytes(size);
     // Address-derived pattern so every byte is distinguishable.
     for (std::uint32_t i = 0; i < size; ++i)
-        store.data[i] = static_cast<std::uint8_t>((addr + i) * 31 + 7);
+        bytes[i] = static_cast<std::uint8_t>((addr + i) * 31 + 7);
+    store.data = fp::testing::payload(std::move(bytes));
     return store;
 }
 
@@ -95,8 +97,10 @@ TEST(ProtocolOracleTest, VerifiesOverwriteInPlace)
     Pipeline pipe;
     Store first = makeStore(0x1000, 8);
     Store second = makeStore(0x1004, 8);
-    for (auto &byte : second.data)
+    std::vector<std::uint8_t> flipped = fp::testing::bytesOf(second);
+    for (auto &byte : flipped)
         byte = static_cast<std::uint8_t>(byte ^ 0xff);
+    second.data = fp::testing::payload(std::move(flipped));
     auto msg = pipe.flushToMessage({first, second});
     // One contiguous run [0x1000, 0x100c) with the overlap holding the
     // second store's bytes.
@@ -148,7 +152,7 @@ TEST(ProtocolOracleTest, CatchesCorruptedData)
 {
     Pipeline pipe;
     auto msg = pipe.flushToMessage({makeStore(0x1000, 8)});
-    msg->stores[0].data[3] ^= 0x01; // single flipped bit
+    msg->store_bytes[3] ^= 0x01; // single flipped bit of stores[0]
     EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }
 
@@ -178,7 +182,7 @@ TEST(ProtocolOracleTest, CatchesMergedRunsIgnoringByteEnables)
     ASSERT_EQ(msg->stores.size(), 2u);
     // Mutate: merge both runs into one span-covering sub-packet.
     Store merged(0x1000, 0x14, src_gpu, dst_gpu);
-    merged.data.resize(0x14, 0);
+    merged.data = fp::testing::payload(std::vector<std::uint8_t>(0x14, 0));
     msg->stores = {merged};
     EXPECT_THROW(pipe.oracle.verifyMessage(*msg, msg->stores), common::SimError);
 }

@@ -30,6 +30,7 @@
 #include "finepack/remote_write_queue.hh"
 #include "finepack/write_combine.hh"
 #include "../support/reference_rwq.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -128,21 +129,25 @@ class StoreStream
 
         Store store(addr, size, 0, 1);
         if (_rng.chance(0.5)) {
-            store.data.resize(size);
-            for (auto &byte : store.data)
+            std::vector<std::uint8_t> bytes(size);
+            for (auto &byte : bytes)
                 byte = static_cast<std::uint8_t>(_rng.next());
+            store.data = fp::testing::payload(std::move(bytes));
         }
-        if (_rng.chance(0.5))
-            store.issue_tick = _rng.below(1'000'000);
+        _issue_tick = _rng.chance(0.5) ? _rng.below(1'000'000) : max_tick;
         return store;
     }
 
     common::Rng &rng() { return _rng; }
 
+    /** The issue tick of the last store (max_tick: not stamped). */
+    Tick issueTick() const { return _issue_tick; }
+
   private:
     Stream _stream;
     common::Rng _rng;
     Addr _cursor = 0;
+    Tick _issue_tick = max_tick;
     /** The collide stream's lines. */
     std::vector<Addr> _lines;
 };
@@ -329,8 +334,8 @@ TEST_P(RwqDifferential, SameFlushesAndCountersAsTheReference)
             partition.flush(FlushReason::release, sink);
             reference.flush(FlushReason::release, ref_sink);
         } else {
-            partition.push(store, sink);
-            reference.push(store, ref_sink);
+            partition.push(store, sink, stream.issueTick());
+            reference.push(store, ref_sink, stream.issueTick());
         }
         ASSERT_TRUE(sameFlushes(sink, ref_sink)) << "step " << step;
         ASSERT_TRUE(sameState(partition, reference)) << "step " << step;

@@ -11,6 +11,7 @@
 #include "finepack/packetizer.hh"
 #include "finepack/remote_write_queue.hh"
 #include "gpu/functional_memory.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -157,8 +158,9 @@ TEST(MultiWindowTest, FunctionalEquivalenceWithScatteredStream)
     auto deliver = [&](const FlushedPartition &flushed) {
         if (flushed.empty())
             return;
-        for (const Store &store :
-             packetizer.packetize(flushed).unpack())
+        // The unpacked stores point into the transaction's bytes.
+        const FinePackTransaction txn = packetizer.packetize(flushed);
+        for (const Store &store : txn.unpack())
             via_finepack.apply(store);
     };
 
@@ -170,9 +172,10 @@ TEST(MultiWindowTest, FunctionalEquivalenceWithScatteredStream)
         auto size = static_cast<std::uint32_t>(
             std::min<Addr>(4, line_end - addr));
         Store store = makeStore(addr, size);
-        store.data.resize(size);
-        for (auto &byte : store.data)
+        std::vector<std::uint8_t> bytes(size);
+        for (auto &byte : bytes)
             byte = static_cast<std::uint8_t>(rng.next());
+        store.data = fp::testing::payload(std::move(bytes));
         direct.apply(store);
         sink.clear();
         partition.push(store, sink);

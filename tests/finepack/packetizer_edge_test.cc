@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "finepack/packetizer.hh"
 #include "finepack/remote_write_queue.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -22,7 +23,7 @@ makeStore(Addr addr, std::uint32_t size,
           std::vector<std::uint8_t> data = {})
 {
     Store store(addr, size, 0, 1);
-    store.data = std::move(data);
+    store.data = fp::testing::payload(std::move(data));
     return store;
 }
 

@@ -7,6 +7,7 @@
 #include "common/random.hh"
 #include "finepack/packetizer.hh"
 #include "finepack/remote_write_queue.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -19,7 +20,7 @@ makeStore(Addr addr, std::uint32_t size,
           std::vector<std::uint8_t> data = {})
 {
     Store store(addr, size, 0, 1);
-    store.data = std::move(data);
+    store.data = fp::testing::payload(std::move(data));
     return store;
 }
 
@@ -94,7 +95,8 @@ TEST(TransactionTest, UnpackReconstructsStores)
     ASSERT_EQ(stores.size(), 2u);
     EXPECT_EQ(stores[0].addr, 0x1008u);
     EXPECT_EQ(stores[0].size, 4u);
-    EXPECT_EQ(stores[0].data, (std::vector<std::uint8_t>{1, 2, 3, 4}));
+    EXPECT_EQ(fp::testing::bytesOf(stores[0]),
+              (std::vector<std::uint8_t>{1, 2, 3, 4}));
     EXPECT_EQ(stores[1].addr, 0x1100u);
     EXPECT_EQ(stores[1].src, 0u);
     EXPECT_EQ(stores[1].dst, 1u);
@@ -207,8 +209,9 @@ TEST(DePacketizerTest, RoundTripPreservesData)
     auto stores = txn.unpack();
     ASSERT_EQ(stores.size(), 2u);
     EXPECT_EQ(stores[0].addr, 0x1000u);
-    EXPECT_EQ(stores[0].data,
+    EXPECT_EQ(fp::testing::bytesOf(stores[0]),
               (std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef}));
     EXPECT_EQ(stores[1].addr, 0x1020u);
-    EXPECT_EQ(stores[1].data, (std::vector<std::uint8_t>{0xca, 0xfe}));
+    EXPECT_EQ(fp::testing::bytesOf(stores[1]),
+              (std::vector<std::uint8_t>{0xca, 0xfe}));
 }

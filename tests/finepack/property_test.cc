@@ -17,6 +17,7 @@
 #include "finepack/remote_write_queue.hh"
 #include "finepack/write_combine.hh"
 #include "gpu/functional_memory.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -89,9 +90,10 @@ class PipelineProperty
             size = static_cast<std::uint32_t>(line_end - addr);
 
         Store store(addr, size, 0, 1);
-        store.data.resize(size);
-        for (auto &byte : store.data)
+        std::vector<std::uint8_t> bytes(size);
+        for (auto &byte : bytes)
             byte = static_cast<std::uint8_t>(rng.next());
+        store.data = fp::testing::payload(std::move(bytes));
         return store;
     }
 

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "finepack/remote_write_queue.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -85,9 +86,9 @@ TEST(RwqPartitionTest, SameAddressOverwritesInPlace)
 {
     RwqPartition partition(1, defaultConfig());
     Store first = makeStore(0x1000, 8);
-    first.data = {1, 2, 3, 4, 5, 6, 7, 8};
+    first.data = fp::testing::payload({1, 2, 3, 4, 5, 6, 7, 8});
     Store second = makeStore(0x1000, 8);
-    second.data = {9, 9, 9, 9, 9, 9, 9, 9};
+    second.data = fp::testing::payload({9, 9, 9, 9, 9, 9, 9, 9});
 
     EXPECT_TRUE(push(partition, first).empty());
     EXPECT_TRUE(push(partition, second).empty());
@@ -192,7 +193,7 @@ TEST(RwqPartitionTest, SplitPreservesDataBytes)
     FinePackConfig config = configWithSubheader(2);
     RwqPartition partition(1, config);
     Store store = makeStore(62, 4);
-    store.data = {10, 11, 12, 13};
+    store.data = fp::testing::payload({10, 11, 12, 13});
     std::vector<FlushedPartition> sink;
     partition.push(store, sink);
     ASSERT_EQ(sink.size(), 1u);
@@ -452,7 +453,7 @@ TEST(QueueEntryTest, MergeCountsOverwritesAndSizesDataOnlyForPayload)
     // A timing-only store enables its bytes but carries no data.
     EXPECT_FALSE(entry.hasData());
     Store payload = makeStore(0x1004, 8);
-    payload.data = {1, 2, 3, 4, 5, 6, 7, 8};
+    payload.data = fp::testing::payload({1, 2, 3, 4, 5, 6, 7, 8});
     EXPECT_EQ(entry.merge(4, payload), 4u); // bytes 4-7 were enabled
     ASSERT_TRUE(entry.hasData());
     EXPECT_EQ(entry.data.size(), FinePackConfig::entry_bytes);

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "finepack/write_combine.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::finepack;
@@ -83,9 +84,9 @@ TEST(WriteCombineTest, LineMessageDeliversOnlyWrittenRuns)
 {
     WriteCombineBuffer wc(0, 1, 4);
     Store a = makeStore(0x1000, 2);
-    a.data = {1, 2};
+    a.data = fp::testing::payload({1, 2});
     Store b = makeStore(0x1010, 2);
-    b.data = {3, 4};
+    b.data = fp::testing::payload({3, 4});
     wc.push(a);
     wc.push(b);
     auto lines = wc.flushAll();
@@ -93,9 +94,11 @@ TEST(WriteCombineTest, LineMessageDeliversOnlyWrittenRuns)
     auto msg = wc.lineToMessage(lines[0], protocol);
     ASSERT_EQ(msg->stores.size(), 2u);
     EXPECT_EQ(msg->stores[0].addr, 0x1000u);
-    EXPECT_EQ(msg->stores[0].data, (std::vector<std::uint8_t>{1, 2}));
+    EXPECT_EQ(fp::testing::bytesOf(msg->stores[0]),
+              (std::vector<std::uint8_t>{1, 2}));
     EXPECT_EQ(msg->stores[1].addr, 0x1010u);
-    EXPECT_EQ(msg->stores[1].data, (std::vector<std::uint8_t>{3, 4}));
+    EXPECT_EQ(fp::testing::bytesOf(msg->stores[1]),
+              (std::vector<std::uint8_t>{3, 4}));
 }
 
 TEST(WriteCombineTest, WrongDestinationPanics)

@@ -8,6 +8,7 @@
 #include "gpu/gpu_config.hh"
 #include "gpu/ingress_port.hh"
 #include "interconnect/topology.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::gpu;
@@ -100,9 +101,9 @@ TEST(IngressPortTest, AppliesDataToFunctionalMemory)
     f.port.attachMemory(&memory);
     auto msg = f.makeMessage(4);
     icn::Store store(0x1000, 4, 0, 1);
-    store.data = {1, 2, 3, 4};
+    store.data = fp::testing::payload({1, 2, 3, 4});
     msg->delivered_stores = 1;
-    msg->stores.push_back(store);
+    msg->addStore(store);
     f.port.receive(msg);
     f.queue.run();
     EXPECT_EQ(memory.readByte(0x1000), 1);

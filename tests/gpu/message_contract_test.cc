@@ -20,6 +20,7 @@
 #include "gpu/functional_memory.hh"
 #include "gpu/ingress_port.hh"
 #include "interconnect/topology.hh"
+#include "../support/payload_bytes.hh"
 
 using namespace fp;
 using namespace fp::gpu;
@@ -82,8 +83,10 @@ Store
 payloadStore(Addr addr, std::uint32_t size, GpuId dst = 1)
 {
     Store store(addr, size, 0, dst);
+    std::vector<std::uint8_t> bytes;
     for (std::uint32_t i = 0; i < size; ++i)
-        store.data.push_back(static_cast<std::uint8_t>((addr + i) * 13 + 5));
+        bytes.push_back(static_cast<std::uint8_t>((addr + i) * 13 + 5));
+    store.data = fp::testing::payload(std::move(bytes));
     return store;
 }
 
@@ -96,7 +99,7 @@ splitRunStores(bool payload)
                                  payloadStore(0x1100, 16)};
     if (!payload) {
         for (Store &store : stores)
-            store.data.clear();
+            store.data = nullptr;
     }
     return stores;
 }
@@ -190,6 +193,7 @@ TEST(MessageContractTest, PayloadMessagesCarryEveryStoreToMemory)
         for (const auto &msg : sys.arrived)
             EXPECT_EQ(msg->stores.size(), msg->delivered_stores);
         for (const Store &store : stores)
-            EXPECT_EQ(sys.memory.read(store.addr, store.size), store.data);
+            EXPECT_EQ(sys.memory.read(store.addr, store.size),
+                      fp::testing::bytesOf(store));
     }
 }

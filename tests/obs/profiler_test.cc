@@ -253,6 +253,43 @@ TEST(Profiler, EmitTraceRendersScopeSlicesUnderHostPid)
     EXPECT_TRUE(saw_host_pid);
 }
 
+TEST(Profiler, ScopeClosedBeforeTheFirstRunStartsTheTimeline)
+{
+    // fptrace loads the trace in a scope before the first run.
+    Profiler profiler;
+    {
+        Profiler::Scope load(&profiler, "trace.read");
+        spin();
+    }
+    EventQueue queue;
+    profiler.beginRun(&queue);
+    {
+        Profiler::Scope run(&profiler, "slice.run");
+        spin();
+    }
+    profiler.endRun();
+    ASSERT_EQ(profiler.sliceCount(), 2u);
+
+    fp::obs::TraceSink sink;
+    profiler.emitTrace(sink);
+    std::ostringstream os;
+    sink.write(os);
+    auto doc = parseJson(os.str());
+    std::vector<std::string> labels;
+    for (const auto &event : doc.at("traceEvents").array) {
+        if (event.at("ph").string != "X")
+            continue;
+        labels.push_back(event.at("name").string);
+        // Microseconds since the load began: well under a second.
+        EXPECT_GE(event.at("ts").number, 0.0) << labels.back();
+        EXPECT_LT(event.at("ts").number, 1e6) << labels.back();
+        if (labels.back() == "trace.read") {
+            EXPECT_EQ(event.at("ts").number, 0.0);
+        }
+    }
+    EXPECT_EQ(labels, (std::vector<std::string>{"trace.read", "slice.run"}));
+}
+
 TEST(Profiler, AggregatesAccumulateAcrossRunsAndResetClears)
 {
     Profiler profiler;

@@ -18,8 +18,10 @@ rule (--flight-recorder=N included), and any flag that takes a value
 exits 2 with usage text when it is the last word on the command line.
 
 A corrupted trace is bad input too: info and replay of a trace whose
-first store count is 2^40, or that is cut in half, exit 1 with a fatal
-message naming the byte offset, instead of aborting or panicking.
+first store count is 2^40, that is cut in half, or whose GPU count is
+one more than its iterations list, exit 1 with a fatal message naming
+the byte offset, instead of aborting, panicking or indexing past the
+GPUs the trace holds.
 
 Usage: pcie_flag_smoke.py <fptrace-binary>
 
@@ -67,18 +69,29 @@ GENERATE_CASES = [
     ({"--gpus": "1024", "--scale": "0.0625"}, 0),
 ]
 
-# Byte offset of the first store count in the tiny trace: magic,
-# "jacobi" and "peer-to-peer" with their lengths, the GPU and iteration
-# counts, iteration 0's GPU count, and GPU 0's three work fields.
-FIRST_STORE_COUNT = 70
+# Byte offsets in the tiny (v2) trace. The GPU count follows the
+# 24-byte header (magic, version, byte-order mark, total length) and
+# "jacobi" and "peer-to-peer" with their lengths; the first store count
+# follows it, the iteration count, iteration 0's GPU count and GPU 0's
+# three work fields.
+GPU_COUNT = 50
+FIRST_STORE_COUNT = 86
+
+
+def patched(b, offset, fmt, value):
+    """b with the field at offset packed as fmt holding value."""
+    return b[:offset] + struct.pack(fmt, value) \
+        + b[offset + struct.calcsize(fmt):]
+
 
 # (name, corruption of the tiny trace's bytes, text stderr must hold).
 CORRUPT_CASES = [
     ("store count 2^40",
-     lambda b: b[:FIRST_STORE_COUNT] + struct.pack("<Q", 1 << 40)
-     + b[FIRST_STORE_COUNT + 8:],
-     "count 1099511627776 at byte 70"),
+     lambda b: patched(b, FIRST_STORE_COUNT, "<Q", 1 << 40),
+     "count 1099511627776 at byte 86"),
     ("cut in half", lambda b: b[:len(b) // 2], "at byte "),
+    ("GPU count 3", lambda b: patched(b, GPU_COUNT, "<I", 3),
+     "GPU count 2 at byte 58 is not the trace's 3 GPUs"),
 ]
 
 # (command, flags, expected exit code) run against the tiny trace.
@@ -190,9 +203,12 @@ def main():
             bad_trace = os.path.join(tmp, "bad.fpt")
             with open(bad_trace, "wb") as f:
                 f.write(corrupt(good))
-            for command in ("info", "replay"):
-                result = run([fptrace, command, bad_trace])
-                case = "%s of a trace with its %s" % (command, name)
+            for command in (["info"], ["replay"],
+                            ["replay", "--paradigm", "p2p-stores"]):
+                result = run([fptrace] + command[:1] + [bad_trace]
+                             + command[1:])
+                case = "%s of a trace with its %s" % (" ".join(command),
+                                                      name)
                 if result.returncode != 1:
                     fail("%s exited %d, expected 1\n%s%s"
                          % (case, result.returncode,

@@ -156,11 +156,7 @@ class ReferenceProtocolOracle : public finepack::RwqObserver,
     storeBuffered(GpuId dst, const icn::Store &store) override
     {
         fp_assert(store.size > 0, "oracle observed a zero-size store");
-        fp_assert(store.data.empty() || store.data.size() == store.size,
-                  "oracle observed a store with inconsistent data size");
-        pendingFor(dst).write(store.addr, store.size,
-                              store.data.empty() ? nullptr
-                                                 : store.data.data());
+        pendingFor(dst).write(store.addr, store.size, store.data);
         ++_stores_recorded;
     }
 
@@ -243,8 +239,8 @@ class ReferenceProtocolOracle : public finepack::RwqObserver,
         for (const icn::Store &store : stores) {
             _digest.updateU64(store.addr);
             _digest.updateU64(store.size);
-            if (!store.data.empty())
-                _digest.update(store.data.data(), store.data.size());
+            if (store.data)
+                _digest.update(store.data, store.size);
             if (store.size == 0 ||
                 store.size >= (1u << _config.length_bits)) {
                 fp_panic("oracle: sub-packet length ", store.size,
@@ -266,7 +262,7 @@ class ReferenceProtocolOracle : public finepack::RwqObserver,
                              " was not in the flushed image (duplicate "
                              "coverage or offset-encoding bug)");
                 }
-                if (ref.has_value && !store.data.empty() &&
+                if (ref.has_value && store.data &&
                     store.data[i] != ref.value) {
                     fp_panic("oracle: de-packetized byte ", addr,
                              " has value ",
@@ -274,7 +270,7 @@ class ReferenceProtocolOracle : public finepack::RwqObserver,
                              " but the source stored ",
                              static_cast<unsigned>(ref.value));
                 }
-                if (ref.has_value && !store.data.empty())
+                if (ref.has_value && store.data)
                     ++_value_bytes_verified;
                 ++_bytes_verified;
                 expected.image.erase(addr);

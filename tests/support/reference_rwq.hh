@@ -130,7 +130,7 @@ class ReferenceRwqWindow
     }
 
     void
-    insert(const icn::Store &store)
+    insert(const icn::Store &store, Tick issue_tick)
     {
         if (_entries.empty())
             _base_register = store.addr >> _config.offsetBits();
@@ -147,10 +147,10 @@ class ReferenceRwqWindow
                 if (entry.mask.test(offset_in_line + i))
                     ++_bytes_elided;
                 entry.mask.set(offset_in_line + i);
-                if (!store.data.empty())
+                if (store.data)
                     entry.data[offset_in_line + i] = store.data[i];
             }
-            entry.has_data |= !store.data.empty();
+            entry.has_data |= store.data != nullptr;
             std::uint64_t cost_after = entry.packedCost(_config);
             if (cost_after >= cost_before)
                 _available_payload -= cost_after - cost_before;
@@ -160,18 +160,18 @@ class ReferenceRwqWindow
             ReferenceQueueEntry entry;
             entry.line_addr = line;
             entry.data.assign(_config.entry_bytes, 0);
-            entry.has_data = !store.data.empty();
+            entry.has_data = store.data != nullptr;
             for (std::uint32_t i = 0; i < store.size; ++i) {
                 entry.mask.set(offset_in_line + i);
-                if (!store.data.empty())
+                if (store.data)
                     entry.data[offset_in_line + i] = store.data[i];
             }
             _available_payload -= entry.packedCost(_config);
             _lookup[line] = _entries.size();
             _entries.push_back(std::move(entry));
         }
-        if (store.issue_tick != max_tick)
-            _stamps.push_back({store.issue_tick, store.size});
+        if (issue_tick != max_tick)
+            _stamps.push_back({issue_tick, store.size});
         ++_buffered_stores;
     }
 
@@ -255,7 +255,8 @@ class ReferenceRwqPartition
 
     void
     push(const icn::Store &store,
-         std::vector<ReferenceFlushedPartition> &sink)
+         std::vector<ReferenceFlushedPartition> &sink,
+         Tick issue_tick = max_tick)
     {
         const std::uint64_t range = _config.addressableRange();
         if (common::alignDown(store.begin(), range) !=
@@ -266,17 +267,13 @@ class ReferenceRwqPartition
             icn::Store tail = store;
             tail.addr = split;
             tail.size = static_cast<std::uint32_t>(store.end() - split);
-            if (!store.data.empty()) {
-                head.data.assign(store.data.begin(),
-                                 store.data.begin() + head.size);
-                tail.data.assign(store.data.begin() + head.size,
-                                 store.data.end());
-            }
-            pushPiece(head, sink);
-            pushPiece(tail, sink);
+            if (store.data)
+                tail.data = store.data + head.size;
+            pushPiece(head, sink, issue_tick);
+            pushPiece(tail, sink, issue_tick);
             return;
         }
-        pushPiece(store, sink);
+        pushPiece(store, sink, issue_tick);
     }
 
     void
@@ -336,7 +333,7 @@ class ReferenceRwqPartition
   private:
     void
     pushPiece(const icn::Store &store,
-              std::vector<ReferenceFlushedPartition> &sink)
+              std::vector<ReferenceFlushedPartition> &sink, Tick issue_tick)
     {
         ++_stores_pushed;
         _bytes_pushed += store.size;
@@ -346,21 +343,21 @@ class ReferenceRwqPartition
             if (!window.covers(store))
                 continue;
             if (window.accepts(store)) {
-                window.insert(store);
+                window.insert(store, issue_tick);
             } else {
                 captureWindow(window,
                               window.payloadBound(store)
                                   ? finepack::FlushReason::payload_full
                                   : finepack::FlushReason::entries_full,
                               sink);
-                window.insert(store);
+                window.insert(store, issue_tick);
             }
             touch(w);
             return;
         }
         for (std::uint32_t w = 0; w < _windows.size(); ++w) {
             if (_windows[w].empty()) {
-                _windows[w].insert(store);
+                _windows[w].insert(store, issue_tick);
                 touch(w);
                 return;
             }
@@ -368,7 +365,7 @@ class ReferenceRwqPartition
         std::uint32_t victim = _lru.front();
         captureWindow(_windows[victim],
                       finepack::FlushReason::window_violation, sink);
-        _windows[victim].insert(store);
+        _windows[victim].insert(store, issue_tick);
         touch(victim);
     }
 
@@ -449,10 +446,10 @@ class ReferenceWriteCombineBuffer
             if (entry.mask.test(offset + i))
                 ++_bytes_elided;
             entry.mask.set(offset + i);
-            if (!store.data.empty())
+            if (store.data)
                 entry.data[offset + i] = store.data[i];
         }
-        entry.has_data |= !store.data.empty();
+        entry.has_data |= store.data != nullptr;
         ++slot.line.folded;
         return evicted;
     }

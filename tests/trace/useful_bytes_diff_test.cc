@@ -239,6 +239,54 @@ denseTrace(std::uint64_t seed)
     return trace;
 }
 
+/**
+ * One bucket dense only at a granule of 4 or 8 bytes: stores whose
+ * bounds are multiples of it, 100 to 400 bytes of spread per store
+ * (too sparse for a bit per byte). Its consumed ranges keep to the
+ * granule inside the spread, except where @p break_inside adds one
+ * that does not; unaligned ranges outside the spread, or straddling
+ * its ends with the unaligned bound outside, must not matter.
+ */
+trace::WorkloadTrace
+granuleTrace(std::uint64_t seed, bool break_inside)
+{
+    static const std::uint64_t bytes_per_store[] = {100, 200, 400};
+    common::Rng rng(seed);
+    const Addr granule = rng.chance(0.5) ? 4 : 8;
+    const std::uint64_t count = rng.range(2, 2000);
+    const Addr spread =
+        count * bytes_per_store[rng.below(std::size(bytes_per_store))];
+    const Addr lo = granule * rng.below(Addr{1} << 30);
+    std::vector<icn::Store> stores;
+    // The first and last stores pin the spread [lo, lo + spread).
+    stores.emplace_back(lo, static_cast<std::uint32_t>(granule), 0, 1);
+    for (std::uint64_t i = 2; i < count; ++i)
+        stores.emplace_back(
+            lo + granule * rng.below(spread / granule - 4),
+            static_cast<std::uint32_t>(granule * rng.range(1, 4)), 0, 1);
+    stores.emplace_back(lo + spread - granule,
+                        static_cast<std::uint32_t>(granule), 0, 1);
+
+    std::vector<icn::AddrRange> consumed;
+    for (std::uint64_t i = 0; i < count / 8 + 1; ++i)
+        consumed.push_back(icn::AddrRange{
+            lo + granule * rng.below(spread / granule),
+            granule * rng.range(0, 32)});
+    // Unaligned, but only outside the spread.
+    consumed.push_back(icn::AddrRange{lo + spread + 1, 3});
+    if (lo >= 64)
+        consumed.push_back(icn::AddrRange{lo - 63, 60});
+    consumed.push_back(icn::AddrRange{lo + spread - 2 * granule,
+                                      2 * granule + 5});
+    if (lo >= 3)
+        consumed.push_back(icn::AddrRange{lo - 3, 3 + granule});
+    if (break_inside)
+        consumed.push_back(icn::AddrRange{
+            lo + granule * rng.below(spread / granule) + granule / 2,
+            rng.range(1, 3 * granule)});
+    return oneBucket(stores, consumed);
+}
+
 } // namespace
 
 class UsefulBytesGenerated
@@ -332,6 +380,19 @@ TEST(UsefulBytesDiff, BucketsEitherSideOfTheBitmapThreshold)
                 consumed.push_back(
                     icn::AddrRange{base + rng.below(spread), rng.range(1, 80)});
             expectMatchesReference(oneBucket(stores, consumed));
+        }
+    }
+}
+
+TEST(UsefulBytesDiff, BucketsDenseOnlyAtTheirGranule)
+{
+    // Counted on bitmaps of 4- or 8-byte granules, unless a consumed
+    // bound inside the spread breaks the granule.
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        for (bool break_inside : {false, true}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) +
+                         (break_inside ? ", granule broken" : ""));
+            expectMatchesReference(granuleTrace(seed, break_inside));
         }
     }
 }

@@ -411,9 +411,11 @@ cmdGenerate(int argc, char **argv)
     return 0;
 }
 
+/** Read the trace at @p path, in a `trace.read` scope of @p profiler. */
 trace::WorkloadTrace
-loadTrace(const char *path)
+loadTrace(const char *path, obs::Profiler *profiler = nullptr)
 {
+    obs::Profiler::Scope scope(profiler, "trace.read");
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fp_fatal("cannot open trace file: ", path);
@@ -610,7 +612,10 @@ cmdReplay(int argc, char **argv)
                      max_flag_ns, fabric_window_ns) ||
         !health.parse(argc, argv))
         return usage();
-    trace::WorkloadTrace trace = loadTrace(argv[2]);
+    obs::Profiler profiler;
+    bool want_profile = hasFlag(argc, argv, "--profile");
+    trace::WorkloadTrace trace =
+        loadTrace(argv[2], want_profile ? &profiler : nullptr);
 
     sim::Paradigm paradigm =
         parseParadigm(argValue(argc, argv, "--paradigm", "finepack"));
@@ -631,7 +636,6 @@ cmdReplay(int argc, char **argv)
     obs::PeriodicSampler sampler(sample_ns * ticks_per_ns);
     obs::MetricsCapture metrics;
     obs::LatencyCollector latency;
-    obs::Profiler profiler;
     obs::FlowCollector flows(fabric_window_ns * ticks_per_ns);
     if (*trace_path != '\0' && detail != obs::TraceDetail::off)
         config.tracer = &tracer;
@@ -644,7 +648,6 @@ cmdReplay(int argc, char **argv)
     bool want_latency = !hasFlag(argc, argv, "--no-latency");
     if (want_latency)
         config.latency = &latency;
-    bool want_profile = hasFlag(argc, argv, "--profile");
     if (want_profile)
         config.profiler = &profiler;
     bool fabric_report = hasFlag(argc, argv, "--fabric-report");
@@ -812,7 +815,8 @@ cmdProfile(int argc, char **argv)
                      std::size_t{max_flag_count}, top_n) ||
         !health.parse(argc, argv))
         return usage();
-    trace::WorkloadTrace trace = loadTrace(argv[2]);
+    obs::Profiler profiler;
+    trace::WorkloadTrace trace = loadTrace(argv[2], &profiler);
 
     sim::Paradigm paradigm =
         parseParadigm(argValue(argc, argv, "--paradigm", "finepack"));
@@ -821,7 +825,6 @@ cmdProfile(int argc, char **argv)
     health.start();
     health.configure(config);
 
-    obs::Profiler profiler;
     config.profiler = &profiler;
     sim::SimulationDriver driver(config);
     bool partial = false;
