@@ -70,13 +70,16 @@ class Workload
     }
 
     /**
-     * The most stores storeBound() may allow: 2^26 (67 M), 4 GiB of
-     * 64 B in-memory store records before a replay starts. The largest
-     * trace any bench or test builds, ct on 16 GPUs at scale 1, is
-     * bounded by 26.5 M.
+     * The most stores storeBound() may allow: 2^26 (67 M), or
+     * 2^26 x sizeof(icn::Store) bytes (2 GiB of 32 B records) in memory
+     * before a replay starts. The largest trace any bench or test
+     * builds, ct on 16 GPUs at scale 1, is bounded by 26.5 M.
      */
     static constexpr std::uint64_t max_trace_stores = std::uint64_t{1}
                                                       << 26;
+    static_assert(max_trace_stores * sizeof(icn::Store) ==
+                      std::uint64_t{2} << 30,
+                  "the store budget is 2 GiB of store records");
 
     /**
      * Why @p params cannot be generated: a problem too small for its
